@@ -143,8 +143,8 @@ inline BenchArgs parse_args(
               "(ratio, seed))");
   std::string spec_path;
   cli.add_string("spec", &spec_path,
-                 "load an ExperimentSpec JSON document (the same format "
-                 "hswsim-serve accepts); its seed / engine / protocol / "
+                 "load an ExperimentSpec JSON document "
+                 "(src/core/experiment.h); its seed / engine / protocol / "
                  "sample-ratio / sample-seed override those flags, while the "
                  "sweep geometry stays the bench's own");
 

@@ -1,23 +1,22 @@
 // Cross-validation of the analytic (max-min fluid) bandwidth model against
-// the event-driven engines.  Three layers:
+// the event-driven exec engine.  Three layers, each exiting 1 on failure so
+// CI catches it:
 //
-//  1. Hand-built scenarios: fluid solver vs the bw/queueing simulator on
-//     single-bottleneck flows (the original sanity check).
+//  1. Hand-built scenarios: fluid solver vs exec::run_closed_loop on
+//     single-bottleneck flows; every scenario must agree within 1%.
 //  2. Fig. 8 quick sweep: measure_bandwidth with engine=analytic vs
 //     engine=simulated on every (stream class, size) point.  The exec
 //     engine's closed loops run the *same* flows over the *same* resource
-//     capacities, so any divergence > 10% is a modelling bug — the bench
-//     exits 1 so CI catches it.
+//     capacities, so any divergence > 10% is a modelling bug.
 //  3. Table VII core scaling under engine=simulated: aggregate bandwidth
 //     must grow monotonically with the core count until the saturation
-//     knee (queueing artefacts would show up as dips).  Also exits 1.
+//     knee (queueing artefacts would show up as dips).
 //
 // Two independent formalisms agreeing is the evidence that the fluid
 // model's saturation shapes are not artefacts.
 #include <cmath>
 #include <cstdio>
 
-#include "bw/queueing.h"
 #include "common.h"
 #include "exec/engine.h"
 #include "obs/resource_stats.h"
@@ -114,8 +113,8 @@ double simulated_scaling_point(int cores, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args =
       hswbench::parse_args(argc, argv,
-                           "Cross-check: fluid max-min model vs event-driven "
-                           "queueing simulation");
+                           "Cross-check: fluid max-min model vs the "
+                           "event-driven exec closed loops");
   hswbench::warn_untraced(args);
 
   const Scenario scenarios[] = {
@@ -127,7 +126,9 @@ int main(int argc, char** argv) {
       {"6 COD readers vs bridge (Table VIII)", 6, 6.2, 96.0, 18.8, 1.0},
   };
 
-  hsw::Table table({"scenario", "fluid model", "queueing sim", "difference"});
+  constexpr double kScenarioTolerance = 0.01;
+  int scenario_failures = 0;
+  hsw::Table table({"scenario", "fluid model", "closed loop", "difference"});
   for (const Scenario& s : scenarios) {
     // Fluid model.
     std::vector<hsw::bw::Flow> flows(
@@ -137,29 +138,38 @@ int main(int argc, char** argv) {
     double fluid = 0.0;
     for (double r : fluid_rates) fluid += r;
 
-    // Queueing simulation: per-flow MLP chosen so the closed-loop unloaded
-    // throughput equals the fluid demand: mlp = demand * latency / 64.
-    hsw::bw::QueueFlow qf;
-    qf.mlp = s.per_flow_demand * s.base_latency_ns / 64.0;
-    qf.base_latency_ns = s.base_latency_ns;
-    qf.visits = {{0, s.weight}};
-    std::vector<hsw::bw::QueueFlow> qflows(
-        static_cast<std::size_t>(s.flows), qf);
-    hsw::bw::QueueingSimulator sim({s.capacity});
-    const auto result = sim.run(qflows, 2e6);  // 2 ms window
-    double des = 0.0;
-    for (double r : result.gbps) des += r;
+    // Closed loops: each stream's request slots are calibrated so its
+    // unloaded throughput equals the fluid demand.
+    std::vector<hsw::exec::StreamTask> tasks;
+    for (int c = 0; c < s.flows; ++c) {
+      hsw::exec::StreamTask task;
+      task.core = c;
+      task.demand_gbps = s.per_flow_demand;
+      task.latency_ns = s.base_latency_ns;
+      task.path = {{0, s.weight}};
+      tasks.push_back(std::move(task));
+    }
+    const double des =
+        hsw::exec::run_closed_loop(tasks, {s.capacity}).total_gbps;
 
+    const double d = des / fluid - 1.0;
     char diff[32];
-    std::snprintf(diff, sizeof diff, "%+.1f%%", (des / fluid - 1.0) * 100.0);
+    std::snprintf(diff, sizeof diff, "%+.2f%%", 100.0 * d);
     table.add_row({s.name, hsw::format_gbps(fluid), hsw::format_gbps(des),
                    diff});
+    if (std::abs(d) > kScenarioTolerance) ++scenario_failures;
   }
   std::printf("Bandwidth-model cross-validation\n%s", table.to_string().c_str());
   std::printf(
-      "\nThe two estimates should agree within a few percent: the fluid\n"
-      "model is exact for saturated deterministic servers, and the closed-\n"
-      "loop MLP limit reproduces the demand caps.\n");
+      "\nThe fluid model is exact for saturated deterministic servers, and\n"
+      "the closed-loop calibration reproduces the demand caps, so the two\n"
+      "must agree within %.0f%%.\n",
+      100.0 * kScenarioTolerance);
+  if (scenario_failures > 0) {
+    std::fprintf(stderr, "FAIL: %d scenario(s) diverged beyond %.0f%%\n",
+                 scenario_failures, 100.0 * kScenarioTolerance);
+    return 1;
+  }
 
   // --- engine=analytic vs engine=simulated on the Fig. 8 quick sweep -------
   constexpr double kTolerance = 0.10;

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <map>
 #include <utility>
 
 #include "topo/topology.h"
@@ -84,51 +85,6 @@ std::optional<bw::LoadWidth> parse_load_width(std::string_view name) {
   return std::nullopt;
 }
 
-std::string ExperimentSpec::canonical() const {
-  std::string out = "{\"hswsim_spec_version\":";
-  out += std::to_string(kSpecVersion);
-  out += ",\"kind\":\"";
-  out += to_string(kind);
-  out += "\",\"mode\":\"";
-  out += snoop_mode_token(mode);
-  out += "\",\"protocol\":\"";
-  out += to_string(protocol);
-  out += "\",\"engine\":\"";
-  out += to_string(engine);
-  out += "\",\"seed\":";
-  out += std::to_string(seed);
-  out += ",\"sample_ratio\":";
-  out += fmt_ratio(sample_ratio);
-  out += ",\"sample_seed\":";
-  out += std::to_string(sample_seed);
-  out += ",\"core\":";
-  out += std::to_string(core);
-  out += ",\"write\":";
-  out += write ? "true" : "false";
-  out += ",\"width\":\"";
-  out += load_width_token(width);
-  out += "\",\"placement\":{\"owner_core\":";
-  out += std::to_string(owner_core);
-  out += ",\"memory_node\":";
-  out += std::to_string(memory_node);
-  out += ",\"state\":\"";
-  out += to_string(state);
-  out += "\",\"sharers\":[";
-  for (std::size_t i = 0; i < sharers.size(); ++i) {
-    if (i != 0) out += ",";
-    out += std::to_string(sharers[i]);
-  }
-  out += "]},\"sizes\":[";
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (i != 0) out += ",";
-    out += std::to_string(sizes[i]);
-  }
-  out += "],\"max_measured_lines\":";
-  out += std::to_string(max_measured_lines);
-  out += "}";
-  return out;
-}
-
 std::string ExperimentSpec::to_json() const {
   std::string out = "{\n";
   out += "  \"hswsim_spec_version\": " + std::to_string(kSpecVersion) + ",\n";
@@ -163,19 +119,6 @@ std::string ExperimentSpec::to_json() const {
   return out;
 }
 
-std::string ExperimentSpec::hash() const {
-  const std::string text = canonical();
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  char hex[32];
-  const int n = std::snprintf(hex, sizeof hex, "%016llx",
-                              static_cast<unsigned long long>(h));
-  return std::string(hex, static_cast<std::size_t>(n));
-}
-
 SystemConfig ExperimentSpec::system_config() const {
   SystemConfig config = SystemConfig::for_mode(mode);
   config.protocol = protocol;
@@ -198,11 +141,13 @@ Placement ExperimentSpec::placement() const {
   return p;
 }
 
+namespace {
+
+// Builds a spec from a flattened document (util/json.h).
 std::optional<ExperimentSpec> spec_from_flat(
-    const std::map<std::string, std::string>& flat, const std::string& prefix,
-    std::string* error) {
+    const std::map<std::string, std::string>& flat, std::string* error) {
   auto get = [&](std::string_view key) -> const std::string* {
-    const auto it = flat.find(prefix + std::string(key));
+    const auto it = flat.find(std::string(key));
     return it == flat.end() ? nullptr : &it->second;
   };
 
@@ -213,18 +158,14 @@ std::optional<ExperimentSpec> spec_from_flat(
       "sample_ratio",        "sample_seed", "core",
       "write",               "width",       "placement.owner_core",
       "placement.memory_node", "placement.state", "max_measured_lines"};
-  for (auto it = flat.lower_bound(prefix); it != flat.end(); ++it) {
-    const std::string& key = it->first;
-    if (!key.starts_with(prefix)) break;
-    const std::string_view rel = std::string_view(key).substr(prefix.size());
+  for (const auto& [key, value] : flat) {
     bool known = false;
     for (const std::string_view k : kScalarKeys) {
-      if (rel == k) { known = true; break; }
+      if (key == k) { known = true; break; }
     }
-    if (!known && !is_index_key(rel, "placement.sharers.") &&
-        !is_index_key(rel, "sizes.")) {
-      set_error(error, "experiment spec: unknown key '" + std::string(rel) +
-                           "'");
+    if (!known && !is_index_key(key, "placement.sharers.") &&
+        !is_index_key(key, "sizes.")) {
+      set_error(error, "experiment spec: unknown key '" + key + "'");
       return std::nullopt;
     }
   }
@@ -391,6 +332,8 @@ std::optional<ExperimentSpec> spec_from_flat(
   return spec;
 }
 
+}  // namespace
+
 std::optional<ExperimentSpec> spec_from_json(const std::string& text,
                                              std::string* error) {
   std::map<std::string, std::string> flat;
@@ -398,7 +341,7 @@ std::optional<ExperimentSpec> spec_from_json(const std::string& text,
     set_error(error, "experiment spec: not valid JSON");
     return std::nullopt;
   }
-  return spec_from_flat(flat, "", error);
+  return spec_from_flat(flat, error);
 }
 
 std::optional<ExperimentSpec> spec_from_file(const std::string& path,
@@ -414,12 +357,6 @@ std::optional<ExperimentSpec> spec_from_file(const std::string& path,
   while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
   std::fclose(f);
   return spec_from_json(text, error);
-}
-
-std::string experiment_cache_key(const ExperimentSpec& spec,
-                                 const TimingParams& timing) {
-  return timing_fingerprint(timing, to_string(spec.protocol)) + "-" +
-         spec.hash();
 }
 
 }  // namespace hsw

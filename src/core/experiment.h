@@ -4,26 +4,18 @@
 // An ExperimentSpec names a latency or bandwidth size sweep the same way the
 // benches and the metrics manifest already do — snoop mode, protocol family,
 // engine, seed, set-sampling, stream placement — as a small versioned JSON
-// document.  The benches accept it via --spec, hswsim-serve accepts batches
-// of them over its socket, and the content-addressed result cache keys on
-// it: `canonical()` is a whitespace-free, fixed-key-order serialization, so
-// the spec hash is independent of how a client formatted the JSON, and
-// `experiment_cache_key()` prefixes the timing fingerprint so any change to
-// a calibration constant (or the protocol family) invalidates cached
-// results.
+// document.  The benches accept it via --spec.
 //
 // Library contract: nothing in here exits or prints.  Parse failures return
 // nullopt with a message in `*error`; callers own the error policy.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "coh/timing.h"
 #include "core/bandwidth.h"
 #include "core/placement.h"
 #include "core/sampling.h"
@@ -53,8 +45,7 @@ struct ExperimentSpec {
   ExperimentKind kind = ExperimentKind::kLatency;
   SnoopMode mode = SnoopMode::kSourceSnoop;
   Protocol protocol = Protocol::kMesif;
-  // Bandwidth only (latency sweeps have no engine choice; the field still
-  // participates in the hash so a spec is one unambiguous document).
+  // Bandwidth only (latency sweeps have no engine choice).
   BandwidthEngine engine = BandwidthEngine::kAnalytic;
   std::uint64_t seed = 1;
   // Set-sampling (core/sampling.h): ratio 1 = exact.
@@ -81,12 +72,6 @@ struct ExperimentSpec {
   // Pretty serialization for files humans edit (round-trips through
   // spec_from_json).
   [[nodiscard]] std::string to_json() const;
-  // Canonical serialization: single line, fixed key order, fixed number
-  // formatting.  This is the hash input — two documents that parse to the
-  // same spec always share it, regardless of key order or whitespace.
-  [[nodiscard]] std::string canonical() const;
-  // 64-bit FNV-1a over canonical(), as 16 hex chars.
-  [[nodiscard]] std::string hash() const;
 
   // The machine this spec runs on: the snoop-mode preset with the spec's
   // protocol family.
@@ -101,22 +86,8 @@ struct ExperimentSpec {
 [[nodiscard]] std::optional<ExperimentSpec> spec_from_json(
     const std::string& text, std::string* error);
 
-// Same, over an already-flattened document (util/json.h), reading the keys
-// under `prefix` (e.g. "specs.0." for a batch element; "" for a whole
-// document).  This is what lets the server parse a batch without
-// re-tokenizing each element.
-[[nodiscard]] std::optional<ExperimentSpec> spec_from_flat(
-    const std::map<std::string, std::string>& flat, const std::string& prefix,
-    std::string* error);
-
 // Reads and parses a spec file.
 [[nodiscard]] std::optional<ExperimentSpec> spec_from_file(
     const std::string& path, std::string* error);
-
-// The content-addressed cache key: timing_fingerprint(timing, protocol) and
-// the canonical spec hash, dash-joined.  Any timing-constant change, any
-// protocol change, and any spec-field change each produce a different key.
-[[nodiscard]] std::string experiment_cache_key(const ExperimentSpec& spec,
-                                               const TimingParams& timing);
 
 }  // namespace hsw

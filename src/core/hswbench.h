@@ -11,10 +11,7 @@
 //   specs        ExperimentSpec — the one versioned JSON document naming a
 //                sweep (kind, mode, protocol, engine, seed, sampling,
 //                placement, sizes).  spec_from_json / to_json round-trip;
-//                canonical() + hash() feed the content-addressed result
-//                cache (experiment_cache_key x timing_fingerprint).  The
-//                benches load it via --spec; hswsim-serve accepts batches
-//                of it over NDJSON (src/serve/)
+//                the benches load it via --spec
 //   model        bw::BandwidthModel (MLP demand + max-min contention),
 //                bw::max_min_rates
 //   exec         exec::run_closed_loop / exec::run_programs — the
@@ -61,19 +58,17 @@
 //
 // --- The facade rule: the library never exits, never prints -----------------
 //
-// Everything under src/ is a library: no function behind this header (or in
-// src/serve/) calls exit(), prints to stdout, or writes usage text to
-// stderr.  Errors surface as values — std::optional from the name parsers
+// Everything under src/ is a library: no function behind this header calls
+// exit(), prints to stdout, or writes usage text to stderr.  Errors surface
+// as values — std::optional from the name parsers
 // (parse_snoop_mode, parse_protocol, parse_mesif, parse_bandwidth_engine,
 // parse_experiment_kind, spec_from_json), error enums from the report
 // loaders (ReportLoadError), std::invalid_argument from configuration
 // validation — and the *binaries* own the policy: the benches route every
 // flag error (bad values, invalid combinations, the MESIF pin, output-path
 // probes) through CommandLine checks so ParseStatus::kError is the single
-// argument-error exit path, and hswsim-serve turns the same parse failures
-// into {"event":"error"} lines instead of dying.  Code that wants to embed
-// the kit (a server, a notebook binding, a fuzzer) must never lose its
-// process to a typo'd config.
+// argument-error exit path.  Code that wants to embed the kit (a notebook
+// binding, a fuzzer) must never lose its process to a typo'd config.
 #pragma once
 
 #include "bw/model.h"

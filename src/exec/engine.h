@@ -26,10 +26,10 @@
 //    event-time order; each access's resource path is derived from where
 //    the engine actually serviced it.
 //
-// Everything is single-threaded on sim/event_queue with the (timestamp,
-// core, seq) tie-break, so a run is a pure function of its inputs — the
-// byte-identical CSV/trace/metrics guarantees of the sweep harness carry
-// over to simulated mode unchanged.
+// Everything is single-threaded on sim/event_kernel.h's EventKernel with
+// the (timestamp, core, seq) tie-break, so a run is a pure function of its
+// inputs — the byte-identical CSV/trace/metrics guarantees of the sweep
+// harness carry over to simulated mode unchanged.
 #pragma once
 
 #include <array>

@@ -197,8 +197,7 @@ ReportLoadError load_report_flat(const std::string& path,
   // binary understands: a future version must be refused, not misread.
   const std::string expected = std::to_string(kReportVersion);
   for (const char* key : {"hswsim_metrics_version", "hswsim_linestats_version",
-                          "hswsim_resources_version",
-                          "hswsim_cache_version"}) {
+                          "hswsim_resources_version"}) {
     const auto it = out->find(key);
     if (it != out->end()) {
       return it->second == expected ? ReportLoadError::kOk

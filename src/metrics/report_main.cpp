@@ -8,9 +8,6 @@
 //   hswsim-report transitions FILE       per-level state-transition matrix
 //   hswsim-report bottlenecks FILE       per-resource queueing telemetry
 //                                        ranked by utilization
-//   hswsim-report cache FILE             hswsim-serve result-cache stats
-//                                        (hit/miss counters, occupancy,
-//                                        resident entries in LRU order)
 //   hswsim-report diff A B [--rel R] [--abs A] [--force]
 //
 // diff compares every metric key tolerance-aware with the same cell
@@ -46,7 +43,6 @@ int usage() {
                "       hswsim-report lines FILE\n"
                "       hswsim-report transitions FILE\n"
                "       hswsim-report bottlenecks FILE\n"
-               "       hswsim-report cache FILE\n"
                "       hswsim-report diff A B [--rel R] [--abs A] [--force]\n");
   return 2;
 }
@@ -81,8 +77,8 @@ int load(const std::string& path, FlatReport* out) {
       std::fprintf(stderr,
                    "hswsim-report: '%s' has an unknown report version "
                    "(expected hswsim_metrics_version, "
-                   "hswsim_linestats_version, hswsim_resources_version, or "
-                   "hswsim_cache_version = %d); regenerate the report with "
+                   "hswsim_linestats_version, or hswsim_resources_version "
+                   "= %d); regenerate the report with "
                    "this build\n",
                    path.c_str(), hsw::metrics::kReportVersion);
       return 1;
@@ -99,7 +95,7 @@ int load(const std::string& path, FlatReport* out) {
 // All report flavours share the version value; the key names the flavour.
 [[nodiscard]] std::string version_of(const FlatReport& report) {
   for (const char* key : {"hswsim_metrics_version", "hswsim_linestats_version",
-                          "hswsim_resources_version", "hswsim_cache_version"}) {
+                          "hswsim_resources_version"}) {
     const std::string version = lookup(report, key);
     if (!version.empty()) return version;
   }
@@ -263,57 +259,6 @@ int transitions_view(const FlatReport& report, const std::string& path) {
   return 0;
 }
 
-// `cache` view: the hswsim-serve result-cache stats dump (the daemon's
-// --stats file, or a client's --stats-out capture): hit/miss counters,
-// occupancy against the capacity cap, and the resident entries in
-// LRU -> MRU order — the top row is the next eviction victim.
-int cache_view(const FlatReport& report, const std::string& path) {
-  if (lookup(report, "hswsim_cache_version").empty()) {
-    std::fprintf(stderr,
-                 "hswsim-report: %s is not a cache stats dump; write one "
-                 "with hswsim-serve --stats FILE (on shutdown) or "
-                 "hswsim-submit --stats-out FILE\n",
-                 path.c_str());
-    return 1;
-  }
-  std::printf("result-cache stats %s\n", path.c_str());
-
-  const double hits = std::atof(lookup(report, "hits").c_str());
-  const double misses = std::atof(lookup(report, "misses").c_str());
-  const double lookups = hits + misses;
-  char hit_rate[32];
-  std::snprintf(hit_rate, sizeof hit_rate, "%.1f%%",
-                lookups > 0.0 ? 100.0 * hits / lookups : 0.0);
-
-  hsw::Table summary({"counter", "value"});
-  summary.add_row({"entries", lookup(report, "entries")});
-  summary.add_row({"bytes", lookup(report, "bytes")});
-  summary.add_row({"capacity bytes", lookup(report, "capacity_bytes")});
-  summary.add_row({"hits", lookup(report, "hits")});
-  summary.add_row({"misses", lookup(report, "misses")});
-  summary.add_row({"hit rate", lookups > 0.0 ? hit_rate : "n/a"});
-  summary.add_row({"insertions", lookup(report, "insertions")});
-  summary.add_row({"evictions", lookup(report, "evictions")});
-  std::printf("%s\n", summary.to_string().c_str());
-
-  hsw::Table entries({"#", "key (timing_fingerprint-spec_hash)", "bytes"});
-  int count = 0;
-  for (int i = 0;; ++i) {
-    const std::string prefix = "items." + std::to_string(i) + ".";
-    const std::string key = lookup(report, prefix + "key");
-    if (key.empty()) break;
-    entries.add_row({std::to_string(i), key, lookup(report, prefix + "bytes")});
-    ++count;
-  }
-  if (count > 0) {
-    std::printf("resident entries, LRU first (row 0 evicts next)\n%s\n",
-                entries.to_string().c_str());
-  } else {
-    std::printf("no resident entries\n");
-  }
-  return 0;
-}
-
 int show(const FlatReport& report, const std::string& path) {
   std::printf("metrics report %s (version %s)\n", path.c_str(),
               version_of(report).c_str());
@@ -458,11 +403,6 @@ int main(int argc, char** argv) {
     FlatReport report;
     if (load(pos[1], &report) != 0) return 1;
     return bottlenecks_view(report, pos[1]);
-  }
-  if (pos[0] == "cache" && pos.size() == 2) {
-    FlatReport report;
-    if (load(pos[1], &report) != 0) return 1;
-    return cache_view(report, pos[1]);
   }
   if (pos[0] == "diff" && pos.size() == 3) {
     FlatReport a;

@@ -1,11 +1,14 @@
 // Allocation-free discrete-event kernel.
 //
-// EventKernel<Payload> is the engine under sim/event_queue.h's EventQueue
-// and the exec engine's fixed-vocabulary event records.  It keeps the exact
-// calendar semantics the PR 5 tie-break tests froze — events pop in
-// (timestamp, key, seq) order, `key` ordering same-timestamp events and
-// `seq` (insertion order) breaking key ties — but replaces
-// std::priority_queue<Event{std::function}> with:
+// EventKernel<Payload> is the one event calendar: the exec engine's closed
+// loops and program interleaving both run on it with fixed-vocabulary event
+// records.  Events pop in (timestamp, key, seq) order — `key` orders
+// same-timestamp events (the exec engine passes the issuing core id, so
+// same-timestamp bursts interleave in core order) and `seq` (insertion
+// order) breaks key ties — so a run is deterministic.  Time is carried in
+// nanoseconds as `double`, the paper's reporting unit (one core cycle at
+// 2.5 GHz = 0.4 ns).  Instead of a std::priority_queue of std::function
+// events, the kernel uses:
 //
 //  * a flat binary heap of POD-friendly records, popped by *moving* out of
 //    the vector (priority_queue::top() forces a copy of every payload);

@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "coh/engine.h"
@@ -17,12 +18,18 @@ namespace {
 
 enum class Variant { kStock, kDirectoryNoHitme, kNoCoreValid };
 
+// gtest prints a parameter without a printer as its raw bytes, and those
+// bytes become part of each ctest name.  A pointer member would leak an
+// ASLR-dependent address into the names, and padding would leak garbage,
+// so the name is stored inline and the fields are packed without gaps.
 struct Scenario {
-  const char* name;
-  SnoopMode mode;
   std::uint64_t seed;
+  SnoopMode mode;
+  char name[19];
   Variant variant = Variant::kStock;
 };
+static_assert(std::has_unique_object_representations_v<Scenario>,
+              "Scenario must have no padding bytes");
 
 std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
   return std::string(info.param.name) + "_seed" +
@@ -190,22 +197,22 @@ TEST_P(CoherenceInvariants, LatenciesAreAlwaysPositiveAndBounded) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, CoherenceInvariants,
-    ::testing::Values(Scenario{"source", SnoopMode::kSourceSnoop, 1},
-                      Scenario{"source", SnoopMode::kSourceSnoop, 2},
-                      Scenario{"source", SnoopMode::kSourceSnoop, 3},
-                      Scenario{"home", SnoopMode::kHomeSnoop, 1},
-                      Scenario{"home", SnoopMode::kHomeSnoop, 2},
-                      Scenario{"home", SnoopMode::kHomeSnoop, 3},
-                      Scenario{"cod", SnoopMode::kCod, 1},
-                      Scenario{"cod", SnoopMode::kCod, 2},
-                      Scenario{"cod", SnoopMode::kCod, 3},
-                      Scenario{"cod_das", SnoopMode::kCod, 1,
+    ::testing::Values(Scenario{1, SnoopMode::kSourceSnoop, "source"},
+                      Scenario{2, SnoopMode::kSourceSnoop, "source"},
+                      Scenario{3, SnoopMode::kSourceSnoop, "source"},
+                      Scenario{1, SnoopMode::kHomeSnoop, "home"},
+                      Scenario{2, SnoopMode::kHomeSnoop, "home"},
+                      Scenario{3, SnoopMode::kHomeSnoop, "home"},
+                      Scenario{1, SnoopMode::kCod, "cod"},
+                      Scenario{2, SnoopMode::kCod, "cod"},
+                      Scenario{3, SnoopMode::kCod, "cod"},
+                      Scenario{1, SnoopMode::kCod, "cod_das",
                                Variant::kDirectoryNoHitme},
-                      Scenario{"cod_das", SnoopMode::kCod, 2,
+                      Scenario{2, SnoopMode::kCod, "cod_das",
                                Variant::kDirectoryNoHitme},
-                      Scenario{"source_nocv", SnoopMode::kSourceSnoop, 1,
+                      Scenario{1, SnoopMode::kSourceSnoop, "source_nocv",
                                Variant::kNoCoreValid},
-                      Scenario{"home_dir", SnoopMode::kHomeSnoop, 1,
+                      Scenario{1, SnoopMode::kHomeSnoop, "home_dir",
                                Variant::kDirectoryNoHitme}),
     scenario_name);
 

@@ -49,35 +49,3 @@ expect_rc1("unknown version" "unknown report version"
 file(WRITE "${OUT_DIR}/future2.json" "{\n  \"hswsim_linestats_version\": 999\n}\n")
 expect_rc1("diff with unknown version" "unknown report version"
   "${REPORT}" diff "${OUT_DIR}/future.json" "${OUT_DIR}/future2.json")
-
-# The cache view shares the loader, so the same three classes fail with the
-# same cause-specific messages — plus its own fourth: a well-formed report
-# of a different flavour is not a cache stats dump.
-expect_rc1("cache: missing file" "cannot read"
-  "${REPORT}" cache "${OUT_DIR}/does_not_exist.json")
-expect_rc1("cache: malformed JSON" "not a valid report"
-  "${REPORT}" cache "${OUT_DIR}/malformed.json")
-file(WRITE "${OUT_DIR}/cache_future.json" "{\n  \"hswsim_cache_version\": 999\n}\n")
-expect_rc1("cache: unknown version" "unknown report version"
-  "${REPORT}" cache "${OUT_DIR}/cache_future.json")
-file(WRITE "${OUT_DIR}/not_cache.json" "{\n  \"hswsim_metrics_version\": 1\n}\n")
-expect_rc1("cache: wrong flavour" "not a cache stats dump"
-  "${REPORT}" cache "${OUT_DIR}/not_cache.json")
-
-# A genuine (hand-rolled but schema-true) stats dump renders and exits 0.
-file(WRITE "${OUT_DIR}/cache_ok.json" "{\n  \"hswsim_cache_version\": 1,\n  \"entries\": 2,\n  \"bytes\": 440,\n  \"capacity_bytes\": 1048576,\n  \"hits\": 3,\n  \"misses\": 1,\n  \"insertions\": 1,\n  \"evictions\": 0,\n  \"items\": [\n    {\"key\": \"aaaa-bbbb\", \"bytes\": 220},\n    {\"key\": \"cccc-dddd\", \"bytes\": 220}\n  ]\n}\n")
-execute_process(
-  COMMAND "${REPORT}" cache "${OUT_DIR}/cache_ok.json"
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-    "cache view on a valid dump: expected exit 0, got ${rc}\n${out}\n${err}")
-endif()
-foreach(needle "hits" "75.0%" "aaaa-bbbb" "cccc-dddd")
-  if(NOT out MATCHES "${needle}")
-    message(FATAL_ERROR
-      "cache view output is missing '${needle}':\n${out}")
-  endif()
-endforeach()
