@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-shot verification: configure + build + full ctest in the default
-# configuration, a trace-export smoke test, a tracing-overhead guard, then
-# the whole ctest suite again under AddressSanitizer.
+# configuration, the Tier-1 command in an empty build directory, a
+# trace-export smoke test, a tracing-overhead guard, then the whole ctest
+# suite again under AddressSanitizer.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 #   HSWSIM_CHECK_SANITIZER=undefined|thread|address  (default: address)
@@ -28,6 +29,17 @@ ctest_args=("$@")
 
 echo "== default configuration =="
 run_config "$repo_root/build"
+
+echo "== pristine Tier-1 =="
+# The exact Tier-1 command (ROADMAP.md) in a fresh, empty build directory:
+# a test that needs another test's output without declaring it (the
+# golden_out/ ordering race) fails here under ctest -j even when the
+# incremental build above passed.
+pristine_dir="$(mktemp -d)"
+trap 'rm -rf "$pristine_dir"' EXIT
+(cd "$pristine_dir" && cmake -B build -S "$repo_root" && cmake --build build -j \
+  && cd build && ctest --output-on-failure -j)
+rm -rf "$pristine_dir"
 
 echo "== trace smoke =="
 # One traced run of the attribution bench must export a Perfetto JSON that

@@ -45,7 +45,7 @@ bool ReferenceModel::dir_set(ReferenceLine& ls, DirState next) {
     return changed;
   }
   // The sparse store reports a write for every non-RI set, even when the
-  // stored state is unchanged (insert_or_assign path in DirectoryStore).
+  // stored state is unchanged (DirectoryStore::set's contract).
   ls.dir = next;
   return true;
 }

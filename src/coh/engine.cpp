@@ -1,13 +1,12 @@
 #include "coh/engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <utility>
-#include <vector>
 
 #include "coh/protocol.h"
-#include "coh/slice_hash.h"
 #include "mem/address.h"
 
 namespace hsw {
@@ -20,6 +19,23 @@ constexpr std::uint32_t bit_of(int socket_local_core) {
 constexpr const char* kNodeName[kMaxNodes] = {"node0", "node1", "node2",
                                               "node3", "node4", "node5",
                                               "node6", "node7"};
+
+// The nodes a request snoops: at most kMaxNodes, kept on the stack so an L3
+// miss allocates nothing.
+class NodeList {
+ public:
+  void push_back(int node) {
+    assert(size_ < kMaxNodes);
+    nodes_[size_++] = node;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] const int* begin() const { return nodes_.data(); }
+  [[nodiscard]] const int* end() const { return nodes_.data() + size_; }
+
+ private:
+  std::array<int, kMaxNodes> nodes_{};
+  std::size_t size_ = 0;
+};
 
 using TComp = trace::Component;
 using TJoin = trace::Tracer::Join;
@@ -46,32 +62,6 @@ double CoherenceEngine::l3_path(int core) const {
          2.0 * m_.core_to_ca_hops(core) * m_.timing.ring_hop;
 }
 
-double CoherenceEngine::link_ns(int node_a, int node_b) const {
-  if (node_a == node_b) return 0.0;
-  const NumaNode& a = m_.topo.node(node_a);
-  const NumaNode& b = m_.topo.node(node_b);
-  if (a.socket == b.socket) return m_.timing.cluster_oneway;
-  double ns = m_.timing.qpi_oneway;
-  if (a.cluster == 1) ns += m_.timing.cluster_oneway;
-  if (b.cluster == 1) ns += m_.timing.cluster_oneway;
-  return ns;
-}
-
-double CoherenceEngine::ca_to_ha(int node) const {
-  return m_.ca_to_imc_hops(node) * m_.timing.ring_hop;
-}
-
-double CoherenceEngine::request_to_ha(int req_node, int home_node) const {
-  if (req_node == home_node) return ca_to_ha(home_node);
-  if (!m_.topo.crosses_qpi(req_node, home_node)) {
-    // Same die: the bridge crossing is in link_ns(); ride the peer ring to
-    // the home agent.
-    return link_ns(req_node, home_node) + ca_to_ha(home_node);
-  }
-  return link_ns(req_node, home_node) +
-         m_.topo.mean_qpi_to_imc_hops(home_node) * m_.timing.ring_hop;
-}
-
 // --- tracing helpers ---------------------------------------------------------
 // Every emitted leaf carries the exact double the surrounding arithmetic
 // adds, and emissions follow the order of the additions, so folding the span
@@ -95,23 +85,22 @@ void CoherenceEngine::trace_l3_path(int core) {
 void CoherenceEngine::trace_link(const char* name, int from, int to) {
   if (tracer_ == nullptr) return;
   const bool qpi = from != to && m_.topo.crosses_qpi(from, to);
-  tracer_->leaf(qpi ? TComp::kQpi : TComp::kRing, name, link_ns(from, to));
+  tracer_->leaf(qpi ? TComp::kQpi : TComp::kRing, name, m_.link_ns(from, to));
 }
 
 void CoherenceEngine::trace_request_to_ha(int req_node, int home_node) {
   if (tracer_ == nullptr) return;
   tracer_->open_group(TComp::kRing, "request_to_ha");
   if (req_node == home_node) {
-    tracer_->leaf(TComp::kRing, "ca_to_ha_ring", ca_to_ha(home_node));
+    tracer_->leaf(TComp::kRing, "ca_to_ha_ring", m_.ca_to_ha_ns(home_node));
   } else if (!m_.topo.crosses_qpi(req_node, home_node)) {
     trace_link("cluster_link", req_node, home_node);
-    tracer_->leaf(TComp::kRing, "ca_to_ha_ring", ca_to_ha(home_node));
+    tracer_->leaf(TComp::kRing, "ca_to_ha_ring", m_.ca_to_ha_ns(home_node));
   } else {
     trace_link("qpi_link", req_node, home_node);
-    tracer_->leaf(TComp::kRing, "qpi_to_imc_ring",
-                  m_.topo.mean_qpi_to_imc_hops(home_node) * m_.timing.ring_hop);
+    tracer_->leaf(TComp::kRing, "qpi_to_imc_ring", m_.qpi_to_ha_ns(home_node));
   }
-  tracer_->close_group(request_to_ha(req_node, home_node));
+  tracer_->close_group(m_.request_to_ha(req_node, home_node));
 }
 
 // --- metrics helpers ---------------------------------------------------------
@@ -136,8 +125,7 @@ void CoherenceEngine::metric_request_to_ha(int req_node, int home_node) {
   if (req_node == home_node || !m_.topo.crosses_qpi(req_node, home_node)) {
     mm->meter(metrics::MMeter::kRingHops, m_.ca_to_imc_hops(home_node));
   } else {
-    mm->meter(metrics::MMeter::kRingHops,
-              m_.topo.mean_qpi_to_imc_hops(home_node));
+    mm->meter(metrics::MMeter::kRingHops, m_.qpi_to_imc_hops(home_node));
     metric_qpi(req_node, home_node, metrics::kQpiHeaderBytes);
   }
 }
@@ -459,18 +447,19 @@ void CoherenceEngine::handle_l2_victim(int core, const CacheEntry& victim) {
   metric(is_dirty(victim.state) ? MC::kL2VictimDirty : MC::kL2VictimCleanSilent);
   obs_transition(obs::Level::kL2, core, victim.line, victim.state,
                  obs::LineOp::kEvict, Mesif::kInvalid);
-  const int node = m_.topo.node_of_core(core);
-  const int socket = m_.topo.socket_of_core(core);
-  const int local = m_.topo.local_core(core);
-  CacheArray& l3 = m_.l3_slice(socket, m_.slice_for(node, victim.line));
-  const CacheArray::Ref entry = l3.lookup(victim.line, /*touch=*/false);
+  // Clean (E/S/F) lines are evicted *silently*: the core-valid bit in the
+  // L3 stays set, which later forces a useless core snoop (the paper's
+  // E-state latency penalty).  Only a dirty victim reaches the L3.
   if (is_dirty(victim.state)) {
     // Write back to the L3: refreshes the data and clears the core-valid
     // bit (paper §VI-A: "the write back to the L3 also clears the core
     // valid bit") — unless the core's L1 still holds the line (an L2
     // capacity victim of a non-inclusive L2), in which case the CBo must
     // keep tracking the core.
-    if (entry) {
+    const int node = m_.topo.node_of_core(core);
+    const int socket = m_.topo.socket_of_core(core);
+    CacheArray& l3 = m_.l3_slice(socket, m_.slice_for(node, victim.line));
+    if (const CacheArray::Ref entry = l3.lookup(victim.line, /*touch=*/false)) {
       // An already-dirty-shared L3 entry (Owned) keeps its sharing state;
       // a clean entry takes the victim's dirty state (Modified, or Owned
       // under MOESI/Dragon where sharers survive).
@@ -480,7 +469,7 @@ void CoherenceEngine::handle_l2_victim(int core, const CacheEntry& victim) {
         entry.state() = victim.state;
       }
       if (!m_.cores[static_cast<std::size_t>(core)].l1.contains(victim.line)) {
-        entry.core_valid() &= ~bit_of(local);
+        entry.core_valid() &= ~bit_of(m_.topo.local_core(core));
       }
     } else {
       obs_transition(obs::Level::kL3, node, victim.line, Mesif::kInvalid,
@@ -489,9 +478,6 @@ void CoherenceEngine::handle_l2_victim(int core, const CacheEntry& victim) {
       if (ins.victim) handle_l3_victim(socket, node, *ins.victim);
     }
   }
-  // Clean (E/S/F) lines are evicted *silently*: the core-valid bit in the
-  // L3 stays set, which later forces a useless core snoop (the paper's
-  // E-state latency penalty).
 }
 
 void CoherenceEngine::handle_l3_victim(int socket, int node,
@@ -709,13 +695,13 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
   fill.node_state = pol_.clean_shared_grant;
 
   // Peer nodes other than requester and home.
-  std::vector<int> peers;
+  NodeList peers;
   for (int n = 0; n < m_.topo.node_count(); ++n) {
     if (n != req_node && n != h) peers.push_back(n);
   }
 
   const double t_req_at_ha =
-      lat0 + request_to_ha(req_node, h) + t.ca_to_ha_fixed;
+      lat0 + m_.request_to_ha(req_node, h) + t.ca_to_ha_fixed;
   metric_request_to_ha(req_node, h);
 
   // Completion helpers.
@@ -725,7 +711,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
     }
     metric_qpi(h, req_node, metrics::kQpiDataBytes);
-    fill.ns = ready_ns + link_ns(h, req_node) + t.response_return;
+    fill.ns = ready_ns + m_.link_ns(h, req_node) + t.response_return;
     fill.source = h == req_node ? ServiceSource::kLocalDram
                                 : ServiceSource::kRemoteDram;
     fill.source_node = h;
@@ -736,7 +722,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       tracer_->leaf(TComp::kCbo, "cache_fwd_return", t.cache_fwd_return);
     }
     metric_qpi(from_node, req_node, metrics::kQpiDataBytes);
-    fill.ns = data_sent_ns + link_ns(from_node, req_node) + t.cache_fwd_return;
+    fill.ns = data_sent_ns + m_.link_ns(from_node, req_node) + t.cache_fwd_return;
     fill.source = from_node == req_node ? ServiceSource::kL3
                                         : ServiceSource::kRemoteFwd;
     fill.source_node = from_node;
@@ -810,9 +796,10 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
 
   if (!directory_on()) {
     // ---- snoopy modes (source snoop / home snoop without directory) -------
-    // The home node's CA is a snoop target like any other peer.
-    std::vector<int> snooped = peers;
-    if (h != req_node) snooped.insert(snooped.begin(), h);
+    // The home node's CA is a snoop target like any other peer, first.
+    NodeList snooped;
+    if (h != req_node) snooped.push_back(h);
+    for (int p : peers) snooped.push_back(p);
 
     if (source_snoop()) {
       // The requester CA broadcasts at lat0; responses race the DRAM read.
@@ -832,7 +819,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
         }
         PeerSnoop snoop = snoop_peer_read(p, line);
         if (tracer_ != nullptr) tracer_->close_group(snoop.handling_ns);
-        const double response_at_peer = lat0 + link_ns(req_node, p) + snoop.handling_ns;
+        const double response_at_peer = lat0 + m_.link_ns(req_node, p) + snoop.handling_ns;
         if (snoop.forwarded) {
           if (tracer_ != nullptr) {
             tracer_->close_leg();
@@ -848,7 +835,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
           tracer_->close_leg();
         }
         slowest_response_at_ha =
-            std::max(slowest_response_at_ha, response_at_peer + link_ns(p, h));
+            std::max(slowest_response_at_ha, response_at_peer + m_.link_ns(p, h));
       }
       if (tracer_ != nullptr) {
         tracer_->open_leg("memory");
@@ -893,7 +880,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       PeerSnoop snoop = snoop_peer_read(p, line);
       if (tracer_ != nullptr) tracer_->close_group(snoop.handling_ns);
       const double launch = snoop_base + stagger;
-      const double handled_at_peer = launch + link_ns(h, p) + snoop.handling_ns;
+      const double handled_at_peer = launch + m_.link_ns(h, p) + snoop.handling_ns;
       if (snoop.forwarded) {
         if (tracer_ != nullptr) {
           tracer_->close_leg();
@@ -908,7 +895,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
         trace_link("response_to_ha", p, h);
         tracer_->close_leg();
       }
-      slowest_response = std::max(slowest_response, handled_at_peer + link_ns(p, h));
+      slowest_response = std::max(slowest_response, handled_at_peer + m_.link_ns(p, h));
     }
     if (tracer_ != nullptr) tracer_->open_leg("memory");
     const double dram_ready = t_req_at_ha + t.ha_processing + dram_read(home);
@@ -1044,7 +1031,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
     PeerSnoop snoop = snoop_peer_read(p, line);
     if (tracer_ != nullptr) tracer_->close_group(snoop.handling_ns);
     const double launch = dram_ready + stagger;
-    const double handled_at_peer = launch + link_ns(h, p) + snoop.handling_ns;
+    const double handled_at_peer = launch + m_.link_ns(h, p) + snoop.handling_ns;
     if (snoop.forwarded) {
       // A third node supplies the data: the HA still has to collect the
       // response and complete the transaction before the load can retire.
@@ -1062,7 +1049,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       trace_link("response_to_ha", p, h);
       tracer_->close_leg();
     }
-    slowest_response = std::max(slowest_response, handled_at_peer + link_ns(p, h));
+    slowest_response = std::max(slowest_response, handled_at_peer + m_.link_ns(p, h));
   }
   // Nobody answered: the directory was stale (silent L3 evictions).  Serve
   // from memory after the HA has collected and processed all responses.
@@ -1223,13 +1210,13 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
   fill.core_state = Mesif::kModified;
   fill.node_state = Mesif::kExclusive;
 
-  std::vector<int> snooped;
+  NodeList snooped;
   for (int n = 0; n < m_.topo.node_count(); ++n) {
     if (n != req_node) snooped.push_back(n);
   }
 
   const double t_req_at_ha =
-      lat0 + request_to_ha(req_node, h) + t.ca_to_ha_fixed;
+      lat0 + m_.request_to_ha(req_node, h) + t.ca_to_ha_fixed;
   metric_request_to_ha(req_node, h);
 
   // Invalidate every other node's copies; the slowest acknowledgement and
@@ -1271,8 +1258,8 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
     }
     dirty_transfer |= handling > t.snoop_ca_lookup + t.core_snoop_external;
     const double launch = snoop_base + stagger;
-    slowest_ack =
-        std::max(slowest_ack, launch + link_ns(from, p) + handling + link_ns(p, h));
+    slowest_ack = std::max(
+        slowest_ack, launch + m_.link_ns(from, p) + handling + m_.link_ns(p, h));
   }
 
   if (tracer_ != nullptr) {
@@ -1291,7 +1278,7 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
     tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
   }
   metric_qpi(h, req_node, metrics::kQpiDataBytes);
-  fill.ns = std::max(dram_ready, slowest_ack) + link_ns(h, req_node) +
+  fill.ns = std::max(dram_ready, slowest_ack) + m_.link_ns(h, req_node) +
             t.response_return;
   fill.source = h == req_node ? ServiceSource::kLocalDram
                               : ServiceSource::kRemoteDram;
@@ -1403,13 +1390,13 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
   fill.source = ServiceSource::kL3;
   fill.source_node = req_node;
 
-  std::vector<int> snooped;
+  NodeList snooped;
   for (int n = 0; n < m_.topo.node_count(); ++n) {
     if (n != req_node) snooped.push_back(n);
   }
 
   const double t_req_at_ha =
-      lat0 + request_to_ha(req_node, h) + t.ca_to_ha_fixed;
+      lat0 + m_.request_to_ha(req_node, h) + t.ca_to_ha_fixed;
   metric_request_to_ha(req_node, h);
 
   // The update rides the same transport as an invalidation broadcast — but
@@ -1452,8 +1439,8 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
       tracer_->close_leg();
     }
     const double launch = snoop_base + stagger;
-    slowest_ack =
-        std::max(slowest_ack, launch + link_ns(from, p) + handling + link_ns(p, h));
+    slowest_ack = std::max(
+        slowest_ack, launch + m_.link_ns(from, p) + handling + m_.link_ns(p, h));
   }
 
   if (tracer_ != nullptr) {
@@ -1472,7 +1459,7 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
     tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
   }
   metric_qpi(h, req_node, metrics::kQpiHeaderBytes);
-  fill.ns = std::max(ha_ready, slowest_ack) + link_ns(h, req_node) +
+  fill.ns = std::max(ha_ready, slowest_ack) + m_.link_ns(h, req_node) +
             t.response_return;
 
   // In-node sharers are refreshed in place like ca_write's local pass

@@ -164,21 +164,16 @@ class CoherenceEngine {
 
   // Timing helpers ------------------------------------------------------------
   // Core -> responsible CA -> back, plus the CBo pipeline (an L3 access).
+  // Transport between agents comes from MachineState's tables (link_ns(),
+  // request_to_ha()).
   [[nodiscard]] double l3_path(int core) const;
-  // One-way transport between agents in two nodes (0 within a node).
-  [[nodiscard]] double link_ns(int node_a, int node_b) const;
-  // Ring segment from a node's CAs to its home agent.
-  [[nodiscard]] double ca_to_ha(int node) const;
-  // Total request transport from the requester CA to the home agent: the
-  // local ring for in-node requests, or link + home-side ring ingress.
-  [[nodiscard]] double request_to_ha(int req_node, int home_node) const;
 
   // Tracing helpers (no-ops when no tracer is attached) ----------------------
   void trace_l3_path(int core);
   // One leaf for the transport between two nodes' agents (kQpi across
   // sockets, kRing inside one).
   void trace_link(const char* name, int from, int to);
-  // The request_to_ha() sum as a group span with per-segment children.
+  // The MachineState::request_to_ha() sum as a group span with per-segment children.
   void trace_request_to_ha(int req_node, int home_node);
 
   // Metrics helpers (no-ops when no registry is attached) --------------------
@@ -198,7 +193,7 @@ class CoherenceEngine {
   // Access epilogue: latency histogram + periodic structural census.
   void metrics_access(double ns);
   // SAD decode + HA ring-stop accounting at the home agent, mirroring the
-  // request_to_ha() transport composition.
+  // MachineState::request_to_ha() transport composition.
   void metric_request_to_ha(int req_node, int home_node);
   // One message crossing the socket link (no-op for same-socket pairs).
   void metric_qpi(int from_node, int to_node, std::uint64_t bytes);

@@ -1,9 +1,7 @@
 #include "coh/state.h"
 
 #include <bit>
-#include <cassert>
-
-#include "coh/slice_hash.h"
+#include <stdexcept>
 
 namespace hsw {
 
@@ -15,6 +13,66 @@ MachineState::MachineState(const TopologyConfig& topo_config,
       timing(timing_params),
       geometry(geometry_params),
       features(feature_flags) {
+  // Per-node tables first: a bad channel interleave fails before any cache
+  // is allocated.
+  const auto n_nodes = static_cast<std::size_t>(topo.node_count());
+  ca_to_imc_hops_.resize(n_nodes);
+  qpi_to_imc_hops_.resize(n_nodes);
+  for (const NumaNode& n : topo.nodes()) {
+    const std::uint64_t n_channels =
+        static_cast<std::uint64_t>(n.imcs.size()) * geometry.channels_per_imc;
+    if (!std::has_single_bit(n_channels)) {
+      throw std::invalid_argument(
+          "channels_per_imc x IMCs per node must be a power of two");
+    }
+    const auto id = static_cast<std::size_t>(n.id);
+    ca_to_imc_hops_[id] = topo.mean_ca_to_imc_hops(n.id);
+    qpi_to_imc_hops_[id] = topo.mean_qpi_to_imc_hops(n.id);
+
+    NodeSlices& slices = node_slices_[id];
+    slices.reduce = FastMod(static_cast<std::uint32_t>(n.local_slices.size()));
+    for (std::size_t i = 0; i < n.local_slices.size(); ++i) {
+      slices.slice[i] = static_cast<std::uint8_t>(n.local_slices[i]);
+    }
+
+    HomeDecode& home = home_decode_[id];
+    home.socket = n.socket;
+    for (std::size_t i = 0; i < n.imcs.size(); ++i) home.imcs[i] = n.imcs[i];
+    home.node_channel_mask = n_channels - 1;
+    home.node_channel_shift = static_cast<unsigned>(std::countr_zero(n_channels));
+    home.imc_shift = static_cast<unsigned>(std::countr_zero(geometry.channels_per_imc));
+    home.imc_channel_mask = geometry.channels_per_imc - 1;
+  }
+
+  for (const NumaNode& a : topo.nodes()) {
+    for (const NumaNode& b : topo.nodes()) {
+      double ns = 0.0;
+      if (a.id != b.id) {
+        if (a.socket == b.socket) {
+          ns = timing.cluster_oneway;
+        } else {
+          ns = timing.qpi_oneway;
+          if (a.cluster == 1) ns += timing.cluster_oneway;
+          if (b.cluster == 1) ns += timing.cluster_oneway;
+        }
+      }
+      link_ns_[pair(a.id, b.id)] = ns;
+    }
+  }
+  for (const NumaNode& req : topo.nodes()) {
+    for (const NumaNode& home : topo.nodes()) {
+      double ns = ca_to_ha_ns(home.id);
+      if (req.id != home.id) {
+        // Same die: the bridge crossing is in link_ns(); ride the peer ring
+        // to the home agent.  Across QPI: enter the home die at its QPI agent.
+        ns = req.socket == home.socket
+                 ? link_ns(req.id, home.id) + ca_to_ha_ns(home.id)
+                 : link_ns(req.id, home.id) + qpi_to_ha_ns(home.id);
+      }
+      request_to_ha_[pair(req.id, home.id)] = ns;
+    }
+  }
+
   const int n_cores = topo.core_count();
   cores.reserve(static_cast<std::size_t>(n_cores));
   for (int c = 0; c < n_cores; ++c) cores.emplace_back(geometry);
@@ -35,40 +93,6 @@ MachineState::MachineState(const TopologyConfig& topo_config,
   for (int c = 0; c < n_cores; ++c) {
     core_to_ca_hops_[static_cast<std::size_t>(c)] = topo.mean_core_to_ca_hops(c);
   }
-  ca_to_imc_hops_.resize(static_cast<std::size_t>(topo.node_count()));
-  for (int n = 0; n < topo.node_count(); ++n) {
-    ca_to_imc_hops_[static_cast<std::size_t>(n)] = topo.mean_ca_to_imc_hops(n);
-  }
-}
-
-int MachineState::slice_for(int node_id, LineAddr line) const {
-  const NumaNode& n = topo.node(node_id);
-  const int idx = slice_index(line, static_cast<int>(n.local_slices.size()));
-  return n.local_slices[static_cast<std::size_t>(idx)];
-}
-
-CacheArray& MachineState::l3_slice(int socket, int local_slice) {
-  return l3[static_cast<std::size_t>(socket)][static_cast<std::size_t>(local_slice)];
-}
-
-MachineState::HomeRef MachineState::home_of(LineAddr line) {
-  HomeRef ref;
-  ref.node = home_node_of_line(line);
-  assert(ref.node < topo.node_count() && "address homed on a non-existent node");
-  const NumaNode& n = topo.node(ref.node);
-  ref.socket = n.socket;
-  // Consecutive lines stripe across all channels of the node (64-B channel
-  // interleave), so a streaming access pattern spreads over every channel.
-  const auto n_channels =
-      static_cast<std::uint64_t>(n.imcs.size()) * geometry.channels_per_imc;
-  assert(std::has_single_bit(n_channels));
-  const std::uint64_t ch_index = line & (n_channels - 1);
-  const auto imc_pos = static_cast<std::size_t>(ch_index / geometry.channels_per_imc);
-  ref.imc = n.imcs[imc_pos];
-  ref.ha = &agents[static_cast<std::size_t>(ref.socket)][static_cast<std::size_t>(ref.imc)];
-  ref.channel = static_cast<int>(ch_index % geometry.channels_per_imc);
-  ref.channel_line = line / n_channels;
-  return ref;
 }
 
 void MachineState::update_structural_gauges(

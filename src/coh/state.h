@@ -7,11 +7,14 @@
 // HitME directory cache.  The coherence engine (engine.h) is the only writer.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
 #include "coh/hitme.h"
 #include "coh/protocol.h"
+#include "coh/slice_hash.h"
 #include "coh/timing.h"
 #include "mem/address.h"
 #include "mem/cache_array.h"
@@ -83,13 +86,17 @@ struct HomeAgentState {
 
 class MachineState {
  public:
+  // Throws std::invalid_argument when a node's channel count
+  // (channels_per_imc x its IMCs), the DRAM bank count or the lines per DRAM
+  // row is not a power of two: home_of() and DramChannel decode with shifts.
   MachineState(const TopologyConfig& topo_config, const TimingParams& timing,
                const CacheGeometry& geometry, const ProtocolFeatures& features);
 
-  SystemTopology topo;
-  TimingParams timing;
-  CacheGeometry geometry;
-  ProtocolFeatures features;
+  // Fixed at construction: the lookup tables below are derived from them.
+  const SystemTopology topo;
+  const TimingParams timing;
+  const CacheGeometry geometry;
+  const ProtocolFeatures features;
 
   std::vector<CoreCaches> cores;                    // [global core]
   std::vector<std::vector<CacheArray>> l3;          // [socket][local slice]
@@ -105,9 +112,18 @@ class MachineState {
   obs::LineStatsRecorder* linestats = nullptr;
 
   // --- lookups --------------------------------------------------------------
-  // Local slice id of the CA responsible for `line` within `node`.
-  [[nodiscard]] int slice_for(int node, LineAddr line) const;
-  CacheArray& l3_slice(int socket, int local_slice);
+  // Every lookup below is a table read built at construction; none divides.
+
+  // Local slice id of the CA responsible for `line` within `node`:
+  // local_slices[slice_index(line, slice count)], bit for bit.
+  [[nodiscard]] int slice_for(int node, LineAddr line) const {
+    const NodeSlices& n = node_slices_[static_cast<std::size_t>(node)];
+    return n.slice[n.reduce(mix_line(line))];
+  }
+  CacheArray& l3_slice(int socket, int local_slice) {
+    return l3[static_cast<std::size_t>(socket)]
+             [static_cast<std::size_t>(local_slice)];
+  }
   // Home agent (imc index within the home node) for `line`.
   struct HomeRef {
     int node;
@@ -117,7 +133,23 @@ class MachineState {
     int channel;       // channel index within the imc
     std::uint64_t channel_line;  // line index within that channel
   };
-  [[nodiscard]] HomeRef home_of(LineAddr line);
+  // Consecutive lines stripe across all channels of the home node (64-B
+  // channel interleave), so a streaming access pattern spreads over every
+  // channel.
+  [[nodiscard]] HomeRef home_of(LineAddr line) {
+    HomeRef ref;
+    ref.node = home_node_of_line(line);
+    assert(ref.node < topo.node_count() && "address homed on a non-existent node");
+    const HomeDecode& d = home_decode_[static_cast<std::size_t>(ref.node)];
+    ref.socket = d.socket;
+    const std::uint64_t ch_index = line & d.node_channel_mask;
+    ref.imc = d.imcs[static_cast<std::size_t>(ch_index >> d.imc_shift)];
+    ref.ha = &agents[static_cast<std::size_t>(ref.socket)]
+                    [static_cast<std::size_t>(ref.imc)];
+    ref.channel = static_cast<int>(ch_index & d.imc_channel_mask);
+    ref.channel_line = line >> d.node_channel_shift;
+    return ref;
+  }
 
   // Machine-wide flat channel index (socket-major, then imc, then channel)
   // for the per-channel metric families.
@@ -145,14 +177,59 @@ class MachineState {
   [[nodiscard]] double ca_to_imc_hops(int node) const {
     return ca_to_imc_hops_[static_cast<std::size_t>(node)];
   }
+  [[nodiscard]] double qpi_to_imc_hops(int node) const {
+    return qpi_to_imc_hops_[static_cast<std::size_t>(node)];
+  }
+
+  // Precomputed transport (ns).  One-way between agents in two nodes (0
+  // within a node):
+  [[nodiscard]] double link_ns(int node_a, int node_b) const {
+    return link_ns_[pair(node_a, node_b)];
+  }
+  // Ring segment from a node's CAs to its home agent.
+  [[nodiscard]] double ca_to_ha_ns(int node) const {
+    return ca_to_imc_hops(node) * timing.ring_hop;
+  }
+  // Ring segment from the die's QPI agent to a node's home agent.
+  [[nodiscard]] double qpi_to_ha_ns(int node) const {
+    return qpi_to_imc_hops(node) * timing.ring_hop;
+  }
+  // Total request transport from the requester CA to the home agent: the
+  // local ring for in-node requests, or link + home-side ring ingress.
+  [[nodiscard]] double request_to_ha(int req_node, int home_node) const {
+    return request_to_ha_[pair(req_node, home_node)];
+  }
 
   // Removes every cached copy everywhere without touching directory state
   // for clean lines (used between experiments; mirrors a quiescent machine).
   void drop_all_caches();
 
  private:
+  // slice_for(): the node's slice list and a division-free `% size`.
+  struct NodeSlices {
+    FastMod reduce;
+    std::array<std::uint8_t, kMaxCoresPerDie> slice{};
+  };
+  // home_of(): the node's channel interleave as shifts and masks.
+  struct HomeDecode {
+    int socket = 0;
+    std::array<int, 2> imcs{};           // local imc ids (at most two), in node order
+    std::uint64_t node_channel_mask = 0;  // channels in the node - 1
+    unsigned node_channel_shift = 0;      // log2(channels in the node)
+    unsigned imc_shift = 0;               // log2(channels_per_imc)
+    std::uint64_t imc_channel_mask = 0;   // channels_per_imc - 1
+  };
+  [[nodiscard]] static std::size_t pair(int a, int b) {
+    return static_cast<std::size_t>(a) * kMaxNodes + static_cast<std::size_t>(b);
+  }
+
   std::vector<double> core_to_ca_hops_;
   std::vector<double> ca_to_imc_hops_;
+  std::vector<double> qpi_to_imc_hops_;
+  std::array<NodeSlices, kMaxNodes> node_slices_{};
+  std::array<HomeDecode, kMaxNodes> home_decode_{};
+  std::array<double, kMaxNodes * kMaxNodes> link_ns_{};        // [a][b]
+  std::array<double, kMaxNodes * kMaxNodes> request_to_ha_{};  // [req][home]
 };
 
 }  // namespace hsw

@@ -14,7 +14,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "mem/line.h"
@@ -33,6 +33,8 @@ struct DramGeometry {
 // One DDR4 channel: per-bank open-row registers.
 class DramChannel {
  public:
+  // Throws std::invalid_argument unless `banks` and lines_per_row() are
+  // powers of two: access() decodes bank and row with shifts and masks.
   explicit DramChannel(const DramGeometry& geometry = {});
 
   // Lifetime row-buffer outcome counts (reads and writes alike; every
@@ -53,7 +55,24 @@ class DramChannel {
 
   // `channel_line` is the line index within this channel's address space
   // (i.e. the node-relative line index divided by the channel count).
-  RowBufferOutcome access(std::uint64_t channel_line);
+  RowBufferOutcome access(std::uint64_t channel_line) {
+    const std::uint64_t global_row = channel_line >> row_shift_;
+    const auto bank = static_cast<std::size_t>(global_row & bank_mask_);
+    const auto row = static_cast<std::int64_t>(global_row >> bank_shift_);
+
+    if (open_row_[bank] == row) {
+      ++stats_.page_hits;
+      return RowBufferOutcome::kHit;
+    }
+    const bool was_open = open_row_[bank] >= 0;
+    open_row_[bank] = row;
+    if (was_open) {
+      ++stats_.page_conflicts;
+      return RowBufferOutcome::kConflict;
+    }
+    ++stats_.page_empties;
+    return RowBufferOutcome::kEmpty;
+  }
 
   // Precharges all banks (e.g. after idle periods between measurements).
   void close_all();
@@ -64,35 +83,73 @@ class DramChannel {
 
  private:
   DramGeometry geometry_;
+  unsigned row_shift_ = 0;       // log2(lines_per_row)
+  unsigned bank_shift_ = 0;      // log2(banks)
+  std::uint64_t bank_mask_ = 0;  // banks - 1
   std::vector<std::int64_t> open_row_;  // -1 == precharged
   Stats stats_;
 };
 
 // Sparse in-memory directory: 2 bits per line, default remote-invalid.
-// Owned by each home agent for the lines it is home to.
+// Owned by each home agent for the lines it is home to; only lines in a
+// non-remote-invalid state take space.
+//
+// A flat open-addressing table: linear probing, backward-shift erase, load
+// at most 3/4.  Each slot packs the line and its state into one word.  A
+// LineAddr is a 64-bit address shifted right by 6, so its top bits are free
+// for the state, and an empty slot is 0 because remote-invalid is never
+// stored.  Released tables go to a per-thread spare list that the next
+// directory's growth reuses (see dram.cpp).
 class DirectoryStore {
  public:
   [[nodiscard]] DirState get(LineAddr line) const {
-    auto it = states_.find(line);
-    return it == states_.end() ? DirState::kRemoteInvalid : it->second;
-  }
-
-  // Returns true if the stored state changed (a real machine pays a memory
-  // write for directory updates).
-  bool set(LineAddr line, DirState state) {
-    if (state == DirState::kRemoteInvalid) {
-      return states_.erase(line) > 0;
+    if (size_ == 0) return DirState::kRemoteInvalid;
+    for (std::size_t i = home_slot(line);; i = (i + 1) & mask_) {
+      const std::uint64_t slot = slots_[i];
+      if (slot == 0) return DirState::kRemoteInvalid;
+      if ((slot & kLineMask) == line) {
+        return static_cast<DirState>(slot >> kStateShift);
+      }
     }
-    auto [it, inserted] = states_.insert_or_assign(line, state);
-    (void)it;
-    return inserted || true;
   }
 
-  void clear() { states_.clear(); }
-  [[nodiscard]] std::size_t tracked_lines() const { return states_.size(); }
+  // Returns whether the home agent pays a directory write (a real machine
+  // pays a memory write for it).  That is true for *every* set to a
+  // non-remote-invalid state, even when the line already held that state,
+  // and for a remote-invalid set exactly when the line was tracked.
+  bool set(LineAddr line, DirState state);
+
+  // Forgets every line; keeps the table's capacity.
+  void clear();
+  [[nodiscard]] std::size_t tracked_lines() const { return size_; }
+
+  // Table geometry, exposed so tests can build probe collisions.
+  [[nodiscard]] std::size_t capacity() const { return slots_ ? mask_ + 1 : 0; }
+  // Slot where the probe for `line` starts; capacity() > 0.
+  [[nodiscard]] std::size_t home_slot(LineAddr line) const {
+    return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ull) >> hash_shift_);
+  }
 
  private:
-  std::unordered_map<LineAddr, DirState> states_;
+  static constexpr unsigned kStateShift = 62;
+  static constexpr std::uint64_t kLineMask = (1ull << kStateShift) - 1;
+
+  // Deleter that hands a table to this thread's spare list.  (No member
+  // initializer: GCC would then not see the nested type as default-
+  // constructible inside DirectoryStore; unique_ptr value-initializes it.)
+  struct Recycle {
+    unsigned log2_capacity;
+    void operator()(std::uint64_t* slots) const noexcept;
+  };
+
+  bool erase(LineAddr line);
+  void grow();
+
+  // line | state << kStateShift; 0 = empty
+  std::unique_ptr<std::uint64_t[], Recycle> slots_;
+  std::size_t mask_ = 0;              // capacity() - 1
+  unsigned hash_shift_ = 64;          // 64 - log2(capacity())
+  std::size_t size_ = 0;
 };
 
 }  // namespace hsw

@@ -113,8 +113,15 @@ SystemTopology::SystemTopology(const TopologyConfig& config) : config_(config) {
         "Cluster-on-Die requires a die with two memory controllers");
   }
 
-  const int per_die = die0.core_count();
-  core_to_node_.assign(static_cast<std::size_t>(per_die * config.sockets), 0);
+  cores_per_die_ = die0.core_count();
+  core_place_.resize(static_cast<std::size_t>(cores_per_die_ * config.sockets));
+  for (int s = 0; s < config.sockets; ++s) {
+    for (int local = 0; local < cores_per_die_; ++local) {
+      CorePlace& p = core_place_[static_cast<std::size_t>(global_core(s, local))];
+      p.socket = s;
+      p.local = local;
+    }
+  }
   for (int s = 0; s < config.sockets; ++s) {
     if (cod()) {
       for (int cluster = 0; cluster < 2; ++cluster) {
@@ -125,7 +132,7 @@ SystemTopology::SystemTopology(const TopologyConfig& config) : config_(config) {
         node.local_slices = dies_[static_cast<std::size_t>(s)].cod_cluster_cores(cluster);
         for (int local : node.local_slices) {
           node.cores.push_back(global_core(s, local));
-          core_to_node_[static_cast<std::size_t>(global_core(s, local))] = node.id;
+          core_place_[static_cast<std::size_t>(global_core(s, local))].node = node.id;
         }
         node.imcs = {cluster};
         nodes_.push_back(std::move(node));
@@ -135,10 +142,10 @@ SystemTopology::SystemTopology(const TopologyConfig& config) : config_(config) {
       node.id = s;
       node.socket = s;
       node.cluster = 0;
-      for (int local = 0; local < per_die; ++local) {
+      for (int local = 0; local < cores_per_die_; ++local) {
         node.cores.push_back(global_core(s, local));
         node.local_slices.push_back(local);
-        core_to_node_[static_cast<std::size_t>(global_core(s, local))] = node.id;
+        core_place_[static_cast<std::size_t>(global_core(s, local))].node = node.id;
       }
       for (int imc = 0; imc < die0.imc_count(); ++imc) node.imcs.push_back(imc);
       nodes_.push_back(std::move(node));
@@ -146,36 +153,9 @@ SystemTopology::SystemTopology(const TopologyConfig& config) : config_(config) {
   }
 }
 
-int SystemTopology::core_count() const {
-  return dies_.front().core_count() * config_.sockets;
-}
-
 const Die& SystemTopology::die(int socket) const {
   assert(socket >= 0 && socket < config_.sockets);
   return dies_[static_cast<std::size_t>(socket)];
-}
-
-int SystemTopology::socket_of_core(int core) const {
-  assert(core >= 0 && core < core_count());
-  return core / dies_.front().core_count();
-}
-
-int SystemTopology::local_core(int core) const {
-  return core % dies_.front().core_count();
-}
-
-int SystemTopology::global_core(int socket, int local) const {
-  return socket * dies_.front().core_count() + local;
-}
-
-const NumaNode& SystemTopology::node(int id) const {
-  assert(id >= 0 && id < node_count());
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
-int SystemTopology::node_of_core(int core) const {
-  assert(core >= 0 && core < core_count());
-  return core_to_node_[static_cast<std::size_t>(core)];
 }
 
 int SystemTopology::internode_hops(int node_a, int node_b) const {

@@ -13,6 +13,7 @@
 // cores 6-7 (ring0) plus 8-11 (ring1), served by IMC1 on ring1.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,6 +27,9 @@ enum class DieSku : std::uint8_t {
   kTwelveCore,   // 2 rings: 8 cores + 4 cores (the paper's test system)
   kEighteenCore  // 2 rings: 8 cores + 10 cores
 };
+
+// The largest die (18 cores) bounds every per-node slice list.
+inline constexpr int kMaxCoresPerDie = 18;
 
 [[nodiscard]] const char* to_string(DieSku sku);
 [[nodiscard]] int cores_per_die(DieSku sku);
@@ -99,16 +103,33 @@ class SystemTopology {
   [[nodiscard]] const TopologyConfig& config() const { return config_; }
   [[nodiscard]] bool cod() const { return config_.snoop_mode == SnoopMode::kCod; }
   [[nodiscard]] int socket_count() const { return config_.sockets; }
-  [[nodiscard]] int core_count() const;
+  [[nodiscard]] int core_count() const {
+    return static_cast<int>(core_place_.size());
+  }
   [[nodiscard]] const Die& die(int socket) const;
 
-  [[nodiscard]] int socket_of_core(int global_core) const;
-  [[nodiscard]] int local_core(int global_core) const;
-  [[nodiscard]] int global_core(int socket, int local_core) const;
+  // Core and node lookups are table reads: the engine asks them on every
+  // access, so the constructor precomputes each core's place once.
+  [[nodiscard]] int socket_of_core(int global_core) const {
+    return place(global_core).socket;
+  }
+  [[nodiscard]] int local_core(int global_core) const {
+    return place(global_core).local;
+  }
+  [[nodiscard]] int global_core(int socket, int local_core) const {
+    assert(socket >= 0 && socket < config_.sockets);
+    assert(local_core >= 0 && local_core < cores_per_die_);
+    return socket * cores_per_die_ + local_core;
+  }
 
   [[nodiscard]] int node_count() const { return static_cast<int>(nodes_.size()); }
-  [[nodiscard]] const NumaNode& node(int id) const;
-  [[nodiscard]] int node_of_core(int global_core) const;
+  [[nodiscard]] const NumaNode& node(int id) const {
+    assert(id >= 0 && id < node_count());
+    return nodes_[static_cast<std::size_t>(id)];
+  }
+  [[nodiscard]] int node_of_core(int global_core) const {
+    return place(global_core).node;
+  }
   [[nodiscard]] std::span<const NumaNode> nodes() const { return nodes_; }
 
   // Coarse inter-node hop count: 0 same node, +1 per on-chip cluster
@@ -133,10 +154,21 @@ class SystemTopology {
   [[nodiscard]] double mean_qpi_to_imc_hops(int node_id) const;
 
  private:
+  struct CorePlace {
+    int socket = 0;
+    int local = 0;
+    int node = 0;
+  };
+  [[nodiscard]] const CorePlace& place(int global_core) const {
+    assert(global_core >= 0 && global_core < core_count());
+    return core_place_[static_cast<std::size_t>(global_core)];
+  }
+
   TopologyConfig config_;
+  int cores_per_die_ = 0;
   std::vector<Die> dies_;
   std::vector<NumaNode> nodes_;
-  std::vector<int> core_to_node_;
+  std::vector<CorePlace> core_place_;  // [global core]
 };
 
 }  // namespace hsw

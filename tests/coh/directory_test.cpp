@@ -83,6 +83,24 @@ TEST_F(CodTest, HitmeHitForwardsFromMemoryWithoutSnoops) {
   EXPECT_EQ(sys_.counters().value(Ctr::kLoadsRemoteDram), 1u);
 }
 
+TEST_F(CodTest, RegrantingSnoopAllStillPaysADirectoryWrite) {
+  // Pinned behaviour (EXPERIMENTS.md "Known deviations"): a memory grant to
+  // a remote node writes the directory even when the line already reads
+  // snoop-all, so the access pays dir_update and counts an update.
+  const PhysAddr a = alloc(0);
+  const int reader = core_in(2);
+  sys_.read(reader, a);  // remote exclusive grant: remote-invalid -> snoop-all
+  ASSERT_EQ(dir(a), DirState::kSnoopAll);
+  sys_.flush_node_l3(2);  // silent clean eviction: still snoop-all
+  ASSERT_EQ(dir(a), DirState::kSnoopAll);
+
+  const std::uint64_t updates = sys_.counters().value(Ctr::kDirectoryUpdates);
+  const AccessResult again = sys_.read(reader, a);
+  EXPECT_EQ(again.source, ServiceSource::kRemoteDram);
+  EXPECT_EQ(dir(a), DirState::kSnoopAll);
+  EXPECT_EQ(sys_.counters().value(Ctr::kDirectoryUpdates), updates + 1);
+}
+
 TEST_F(CodTest, StaleDirectoryForcesUselessBroadcast) {
   const PhysAddr a = alloc(1);
   const int owner = core_in(1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace hsw {
 namespace {
 
@@ -133,6 +136,36 @@ TEST(Topology, GlobalLocalCoreRoundTrip) {
   SystemTopology topo(twelve_core(SnoopMode::kSourceSnoop));
   for (int c = 0; c < topo.core_count(); ++c) {
     EXPECT_EQ(topo.global_core(topo.socket_of_core(c), topo.local_core(c)), c);
+  }
+}
+
+TEST(Topology, CoreTablesRoundTripForEverySkuModeAndSocketCount) {
+  // The per-core lookups are tables built once in the constructor; each
+  // must agree with the arithmetic and the node lists they replace.
+  for (DieSku sku : {DieSku::kEightCore, DieSku::kTwelveCore, DieSku::kEighteenCore}) {
+    for (SnoopMode mode :
+         {SnoopMode::kSourceSnoop, SnoopMode::kHomeSnoop, SnoopMode::kCod}) {
+      if (mode == SnoopMode::kCod && imcs_per_die(sku) != 2) continue;
+      for (int sockets = 1; sockets <= 2; ++sockets) {
+        SCOPED_TRACE(std::string(to_string(sku)) + " / " + to_string(mode) +
+                     " / " + std::to_string(sockets) + " socket(s)");
+        const SystemTopology topo(TopologyConfig{sku, sockets, mode});
+        const int per_die = cores_per_die(sku);
+        ASSERT_EQ(topo.core_count(), per_die * sockets);
+        for (int c = 0; c < topo.core_count(); ++c) {
+          EXPECT_EQ(topo.socket_of_core(c), c / per_die) << c;
+          EXPECT_EQ(topo.local_core(c), c % per_die) << c;
+          EXPECT_EQ(topo.global_core(topo.socket_of_core(c), topo.local_core(c)), c);
+          const NumaNode& n = topo.node(topo.node_of_core(c));
+          EXPECT_EQ(n.socket, topo.socket_of_core(c)) << c;
+          EXPECT_EQ(std::count(n.cores.begin(), n.cores.end(), c), 1) << c;
+        }
+        for (int id = 0; id < topo.node_count(); ++id) {
+          EXPECT_EQ(topo.node(id).id, id);
+          for (int c : topo.node(id).cores) EXPECT_EQ(topo.node_of_core(c), id);
+        }
+      }
+    }
   }
 }
 
