@@ -93,9 +93,16 @@ int main(int argc, char** argv) {
   }
   hsw::Table table(header);
 
-  hsw::trace::TraceSink sink;
-  hsw::metrics::MetricsHub hub;
-  hsw::obs::LineStatsHub lhub;
+  // Every case runs an attribution tracer; --trace retains its span trees
+  // and --observe adds the report observers, all on the case's stream id,
+  // so the report's per-stream rows name the (configuration, placement)
+  // case they came from.
+  hsw::ObserverHubs hubs;
+  hsw::ObserverSet observe = args.observe.set;
+  observe.trace = !args.trace.empty();
+  observe.attribution = true;
+  observe.resources = false;
+  observe.trace_capacity = hswbench::kBenchTraceCapacity;
   std::uint32_t stream = 0;
   for (const Config& cfg : configs) {
     hsw::System probe(cfg.config);
@@ -147,31 +154,10 @@ int main(int argc, char** argv) {
       lc.max_measured_lines = c.lines;
       lc.seed = args.seed;
 
-      hsw::trace::Tracer tracer(args.trace.empty()
-                                    ? hsw::trace::Tracer::Mode::kAttribution
-                                    : hsw::trace::Tracer::Mode::kFull,
-                                stream, hswbench::kBenchTraceCapacity);
-      lc.instrumentation.tracer = &tracer;
-      // The metrics registry shares the tracer's stream id so the report's
-      // per-stream samples line up with the attribution rows.
-      std::optional<hsw::metrics::MetricsRegistry> registry;
-      if (!args.metrics.empty()) {
-        registry.emplace(stream);
-        lc.instrumentation.metrics = &*registry;
-      }
-      // The flight recorder rides the same stream id: the linestats report's
-      // per-line rows name the (configuration, placement) case they came
-      // from via the stream column.
-      std::optional<hsw::obs::LineStatsRecorder> recorder;
-      if (!args.linestats.empty()) {
-        recorder.emplace(cfg.config.protocol, stream);
-        lc.instrumentation.linestats = &*recorder;
-      }
-      ++stream;
+      hsw::PointObservers observers(observe, cfg.config.protocol, stream++);
+      lc.instrumentation = observers.scope();
       const hsw::LatencyResult r = hsw::measure_latency(sys, lc);
-      sink.absorb(std::move(tracer));
-      if (registry) hub.absorb(std::move(*registry));
-      if (recorder) lhub.absorb(std::move(*recorder));
+      observers.absorb_into(hubs);
 
       const double n = static_cast<double>(r.lines_measured);
       std::vector<std::string> row{cfg.name, c.name,
@@ -195,17 +181,13 @@ int main(int argc, char** argv) {
       "(hitme column, no forward legs) against cod_das (directory serves "
       "from memory) — Fig. 7's short-circuit as a named span");
 
-  if (!args.trace.empty() && sink.write(args.trace)) {
-    std::printf("wrote %s (%zu protocol transactions)\n", args.trace.c_str(),
-                sink.record_count());
+  if (!args.trace.empty()) {
+    const hsw::trace::MergedTrace trace = hubs.trace.merged();
+    if (hsw::trace::write_trace(args.trace, trace.records)) {
+      std::printf("wrote %s (%zu protocol transactions)\n",
+                  args.trace.c_str(), trace.records.size());
+    }
   }
-  if (!args.linestats.empty()) {
-    const hsw::obs::MergedLineStats merged = lhub.merged();
-    hswbench::write_linestats_file(args, merged);
-    hswbench::write_metrics_report(
-        args, hub, hsw::obs::render_linestats_section(merged));
-  } else {
-    hswbench::write_metrics_report(args, hub);
-  }
+  hswbench::write_report(args, hubs);
   return 0;
 }

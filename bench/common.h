@@ -24,11 +24,7 @@
 #include <vector>
 
 #include "core/hswbench.h"
-#include "metrics/report.h"
-#include "obs/line_stats.h"
-#include "obs/resource_stats.h"
 #include "sim/thread_pool.h"
-#include "trace/sink.h"
 #include "util/cli.h"
 #include "util/csv.h"
 
@@ -37,9 +33,9 @@ namespace hswbench {
 struct BenchArgs {
   std::string csv;        // empty = no CSV output
   std::string trace;      // --trace FILE: export span trees (.csv or JSON)
-  std::string metrics;    // --metrics FILE: write the uncore-metrics report
-  std::string linestats;  // --linestats FILE: per-line flight-recorder report
-  std::string resstats;   // --resstats FILE: per-resource queueing report
+  // --observe metrics,lines,resources --report FILE: the report observers
+  // (only the three report flags of observe.set) and their document.
+  hsw::ObserveFlags observe;
   bool attribution = false;  // print per-component latency attribution
   bool progress = false;  // --progress: sweep-point heartbeat on stderr
   bool quick = false;     // trim sweep sizes for smoke runs
@@ -103,18 +99,7 @@ inline BenchArgs parse_args(
                  "export per-access protocol span trees to this file "
                  "(.csv = one row per span; anything else = Chrome-trace "
                  "JSON for https://ui.perfetto.dev)");
-  cli.add_string("metrics", &args.metrics,
-                 "write an uncore-PMU-style metrics run report (JSON) to "
-                 "this file; diff reports with hswsim-report");
-  cli.add_string("linestats", &args.linestats,
-                 "write the per-line coherence flight-recorder report (JSON): "
-                 "sharing-pattern classification, state residency, and the "
-                 "state-transition matrix; view with hswsim-report lines");
-  cli.add_string("resstats", &args.resstats,
-                 "write the per-resource queueing report (JSON): busy/idle "
-                 "residency, waits, and queue depths at every ring stop, iMC "
-                 "channel, QPI link, and bridge (simulated engine only); "
-                 "view with hswsim-report bottlenecks");
+  hsw::add_observe_flags(cli, &args.observe);
   cli.add_bool("attribution", &args.attribution,
                "print the per-component latency attribution summary");
   cli.add_bool("progress", &args.progress,
@@ -200,8 +185,8 @@ inline BenchArgs parse_args(
   // report would silently describe a different population.  Refuse the
   // combination instead of producing a misleading file.
   cli.add_check([&]() -> std::optional<std::string> {
-    if (!args.linestats.empty() && args.sampling.ratio < 1.0) {
-      return "--linestats requires an exact run: remove --sample-ratio "
+    if (args.observe.set.lines && args.sampling.ratio < 1.0) {
+      return "--observe lines requires an exact run: remove --sample-ratio "
              "(set-sampling simulates only a fraction of cache sets, so "
              "per-line sharing stats would describe a scaled machine)";
     }
@@ -210,13 +195,13 @@ inline BenchArgs parse_args(
   // The per-resource recorder watches the simulated engine's FIFO servers;
   // the analytic solver (and every latency bench) has no queues to observe,
   // so the report would be all zeros.  Refuse the combination instead of
-  // writing a misleading file — same policy as --linestats + --sample-ratio.
+  // writing a misleading file — same policy as lines + --sample-ratio.
   cli.add_check([&]() -> std::optional<std::string> {
-    if (!args.resstats.empty() &&
+    if (args.observe.set.resources &&
         args.engine != hsw::BandwidthEngine::kSimulated) {
-      return "--resstats requires --engine simulated: only the event-driven "
-             "engine has FIFO servers to observe, so the resources report "
-             "would be all zeros";
+      return "--observe resources requires --engine simulated: only the "
+             "event-driven engine has FIFO servers to observe, so the "
+             "resources section would be all zeros";
     }
     return std::nullopt;
   });
@@ -238,9 +223,7 @@ inline BenchArgs parse_args(
   });
   cli.add_check([&]() -> std::optional<std::string> {
     if (auto e = writable_path_error(args.trace, "--trace")) return e;
-    if (auto e = writable_path_error(args.metrics, "--metrics")) return e;
-    if (auto e = writable_path_error(args.linestats, "--linestats")) return e;
-    return writable_path_error(args.resstats, "--resstats");
+    return writable_path_error(args.observe.report, "--report");
   });
 
   switch (cli.parse_status(argc, argv)) {
@@ -260,76 +243,31 @@ inline BenchArgs parse_args(
   return args;
 }
 
-// The run manifest every report flavor embeds (tool, config, timing-constant
-// fingerprint, seed, jobs, git).
-inline hsw::metrics::ReportManifest make_manifest(const BenchArgs& args) {
-  hsw::metrics::ReportManifest manifest;
-  manifest.tool = args.tool;
-  manifest.config = args.summary;
-  manifest.protocol = std::string(hsw::to_string(args.protocol));
-  manifest.timing_hash = hsw::timing_fingerprint(
-      hsw::TimingParams::haswell_ep(), hsw::to_string(args.protocol));
+// Writes the --report document with a section per --observe observer.
+// Exits 1 on write failure so CI never mistakes a truncated report for a
+// clean run.
+inline void write_report(const BenchArgs& args, const hsw::ObserverHubs& hubs) {
+  if (!args.observe.set.reports()) return;
+  hsw::metrics::ReportManifest manifest =
+      hsw::make_manifest(args.tool, args.summary, args.protocol);
   manifest.seed = args.seed;
   manifest.jobs = args.jobs;
   manifest.quick = args.quick;
-  manifest.git = hsw::metrics::git_describe();
-  return manifest;
-}
-
-// Writes the --metrics run report: a versioned JSON document with the run
-// manifest, the merged final counters/gauges/families/histograms, and the
-// gauge time series.  `extra_section` (already rendered JSON, e.g. the
-// flight recorder's "linestats" object) is embedded verbatim.  Exits 1 on
-// write failure so CI never mistakes a truncated report for a clean run.
-inline void write_metrics_report(const BenchArgs& args,
-                                 const hsw::metrics::MetricsHub& hub,
-                                 const std::string& extra_section = {}) {
-  if (args.metrics.empty()) return;
-  if (!hsw::metrics::write_report(args.metrics, make_manifest(args),
-                                  hub.merged(), extra_section)) {
-    std::fprintf(stderr, "failed to write metrics report %s\n",
-                 args.metrics.c_str());
+  if (!hsw::write_observer_report(args.observe.report, manifest, hubs,
+                                  args.observe.set)) {
     std::exit(1);
   }
-  std::printf("wrote %s\n", args.metrics.c_str());
+  std::printf("wrote %s\n", args.observe.report.c_str());
 }
 
-// Writes the --linestats flight-recorder report (same manifest, own version
-// key); exit-1-on-failure discipline as above.
-inline void write_linestats_file(const BenchArgs& args,
-                                 const hsw::obs::MergedLineStats& merged) {
-  if (args.linestats.empty()) return;
-  if (!hsw::obs::write_linestats_report(args.linestats, make_manifest(args),
-                                        merged)) {
-    std::fprintf(stderr, "failed to write linestats report %s\n",
-                 args.linestats.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s\n", args.linestats.c_str());
-}
-
-// Writes the --resstats per-resource queueing report (same manifest, own
-// version key); exit-1-on-failure discipline as above.
-inline void write_resstats_file(const BenchArgs& args,
-                                const hsw::obs::MergedResourceStats& merged) {
-  if (args.resstats.empty()) return;
-  if (!hsw::obs::write_resources_report(args.resstats, make_manifest(args),
-                                        merged)) {
-    std::fprintf(stderr, "failed to write resources report %s\n",
-                 args.resstats.c_str());
-    std::exit(1);
-  }
-  std::printf("wrote %s\n", args.resstats.c_str());
-}
-
-// --- tracing / attribution -----------------------------------------------
-// Shared wiring behind the benches' --trace / --attribution flags.  A bench
-// creates one BenchTrace, routes its measurements through it (sweep plans
-// via *_plan_options, direct measure_latency calls via measure), and calls
-// finish() last: finish writes the trace file and prints the per-component
-// attribution table.  Stream ids are assigned from configuration / call
-// order, never from scheduling, so exported traces are byte-identical for
-// any --jobs value.
+// --- observers ------------------------------------------------------------
+// Shared wiring behind the benches' --trace / --attribution / --observe
+// flags.  A bench creates one BenchTrace, routes its measurements through
+// it (sweep plans via *_plan_options, direct measure_latency calls via
+// measure), and calls finish() last: finish writes the trace file and the
+// report and prints the per-component attribution table.  Stream ids are
+// assigned from configuration / call order, never from scheduling, so
+// exported traces and reports are byte-identical for any --jobs value.
 
 // Records retained per stream when exporting: enough protocol transactions
 // to inspect every phase of a sweep point without the export growing with
@@ -338,111 +276,38 @@ inline constexpr std::size_t kBenchTraceCapacity = 192;
 
 class BenchTrace {
  public:
-  explicit BenchTrace(const BenchArgs& args)
-      : args_(args), path_(args.trace), attribution_(args.attribution) {}
+  explicit BenchTrace(const BenchArgs& args) : args_(args) {}
 
-  [[nodiscard]] bool enabled() const { return attribution_ || !path_.empty(); }
-  [[nodiscard]] bool tracing() const { return !path_.empty(); }
-  [[nodiscard]] bool attribution() const { return attribution_; }
-  [[nodiscard]] bool metrics() const { return !args_.metrics.empty(); }
-  [[nodiscard]] bool linestats() const { return !args_.linestats.empty(); }
-  [[nodiscard]] bool resstats() const { return !args_.resstats.empty(); }
-
-  // Sweep wiring for latency plans: attribution aggregates arrive through
-  // LatencyResult::component_ns, so span trees are retained only when a
-  // trace file was requested.
-  [[nodiscard]] hsw::SweepTraceOptions latency_plan_options(std::size_t plan) {
-    hsw::SweepTraceOptions t = base_options(plan);
-    t.attribution = attribution_;
-    if (tracing()) t.sink = &sink_;
-    if (metrics()) t.metrics = &hub_;
-    if (linestats()) t.linestats = &lhub_;
-    return t;
+  [[nodiscard]] bool enabled() const { return attribution() || tracing(); }
+  [[nodiscard]] bool tracing() const { return !args_.trace.empty(); }
+  [[nodiscard]] bool attribution() const { return args_.attribution; }
+  [[nodiscard]] const hsw::ObserverSet& observe() const {
+    return args_.observe.set;
   }
 
-  // Bandwidth plans carry no per-access results, so --attribution derives
-  // the breakdown from retained records instead (finish() falls back to
-  // walking the sink).
+  [[nodiscard]] hsw::SweepTraceOptions latency_plan_options(std::size_t plan) {
+    return plan_options(plan, latency_set());
+  }
   [[nodiscard]] hsw::SweepTraceOptions bandwidth_plan_options(std::size_t plan) {
-    hsw::SweepTraceOptions t = base_options(plan);
-    if (enabled()) t.sink = &sink_;
-    if (metrics()) t.metrics = &hub_;
-    if (linestats()) t.linestats = &lhub_;
-    if (resstats()) t.resstats = &rhub_;
-    return t;
+    return plan_options(plan, bandwidth_set());
   }
 
   // Wraps a direct measure_latency call (the serial table/ablation benches):
-  // one tracer per call, stream ids in call order, the breakdown accumulated
-  // under `label`.  The metrics registry shares the tracer's stream id, so
-  // the report's per-stream samples line up with the exported trace.
+  // one set of observers per call, stream ids in call order, the breakdown
+  // accumulated under `label`.
   hsw::LatencyResult measure(hsw::System& system, hsw::LatencyConfig config,
                              std::string label) {
-    if (!enabled() && !metrics() && !linestats()) {
-      return hsw::measure_latency(system, config);
-    }
-    const std::uint32_t stream = next_stream_++;
-    std::optional<hsw::trace::Tracer> tracer;
-    if (enabled()) {
-      tracer.emplace(tracing() ? hsw::trace::Tracer::Mode::kFull
-                               : hsw::trace::Tracer::Mode::kAttribution,
-                     stream, kBenchTraceCapacity);
-      config.instrumentation.tracer = &*tracer;
-    }
-    std::optional<hsw::metrics::MetricsRegistry> registry;
-    if (metrics()) {
-      registry.emplace(stream);
-      config.instrumentation.metrics = &*registry;
-    }
-    std::optional<hsw::obs::LineStatsRecorder> recorder;
-    if (linestats()) {
-      recorder.emplace(system.config().protocol, stream);
-      config.instrumentation.linestats = &*recorder;
-    }
-    const hsw::LatencyResult result = hsw::measure_latency(system, config);
-    if (attribution_) note(std::move(label), result);
-    if (tracer) sink_.absorb(std::move(*tracer));
-    if (registry) hub_.absorb(std::move(*registry));
-    if (recorder) lhub_.absorb(std::move(*recorder));
+    const hsw::LatencyResult result = observed(
+        system, std::move(config), latency_set(), hsw::measure_latency);
+    if (attribution()) note(std::move(label), result);
     return result;
   }
 
-  // Direct measure_bandwidth calls: spans are retained and the attribution
-  // table is derived from them in finish() (bandwidth results carry no
-  // per-access breakdown).
+  // Direct measure_bandwidth calls (see bandwidth_set for the tracer mode).
   hsw::BandwidthResult measure_bw(hsw::System& system,
                                   hsw::BandwidthConfig config) {
-    if (!enabled() && !metrics() && !linestats() && !resstats()) {
-      return hsw::measure_bandwidth(system, config);
-    }
-    const std::uint32_t stream = next_stream_++;
-    std::optional<hsw::trace::Tracer> tracer;
-    if (enabled()) {
-      tracer.emplace(hsw::trace::Tracer::Mode::kFull, stream,
-                     kBenchTraceCapacity);
-      config.instrumentation.tracer = &*tracer;
-    }
-    std::optional<hsw::metrics::MetricsRegistry> registry;
-    if (metrics()) {
-      registry.emplace(stream);
-      config.instrumentation.metrics = &*registry;
-    }
-    std::optional<hsw::obs::LineStatsRecorder> recorder;
-    if (linestats()) {
-      recorder.emplace(system.config().protocol, stream);
-      config.instrumentation.linestats = &*recorder;
-    }
-    std::optional<hsw::obs::ResourceStatsRecorder> resources;
-    if (resstats()) {
-      resources.emplace(stream);
-      config.instrumentation.resstats = &*resources;
-    }
-    const hsw::BandwidthResult result = hsw::measure_bandwidth(system, config);
-    if (tracer) sink_.absorb(std::move(*tracer));
-    if (registry) hub_.absorb(std::move(*registry));
-    if (recorder) lhub_.absorb(std::move(*recorder));
-    if (resources) rhub_.absorb(std::move(*resources));
-    return result;
+    return observed(system, std::move(config), bandwidth_set(),
+                    hsw::measure_bandwidth);
   }
 
   // Accumulates a measured point's component breakdown under `label`
@@ -456,39 +321,26 @@ class BenchTrace {
     row.accesses += static_cast<double>(result.lines_measured);
   }
 
-  // Writes the trace file and prints the attribution table.  Call after the
-  // bench's own tables so the regular output (and the golden CSVs) stay
-  // untouched.
+  // Writes the trace file and the report and prints the attribution
+  // table.  Call after the bench's own tables so the regular output (and
+  // the golden CSVs) stay untouched.
   void finish() {
-    if (attribution_) {
-      if (rows_.empty()) note_from_records();
+    hsw::trace::MergedTrace trace;
+    if (enabled()) trace = hubs_.trace.merged();
+    if (attribution()) {
+      if (rows_.empty()) note_from_records(trace.records);
       print_attribution();
     }
-    if (tracing() && sink_.write(path_)) {
-      std::printf("wrote %s (%zu protocol transactions",
-                  path_.c_str(), sink_.record_count());
-      if (sink_.dropped() > 0) {
+    if (tracing() && hsw::trace::write_trace(args_.trace, trace.records)) {
+      std::printf("wrote %s (%zu protocol transactions", args_.trace.c_str(),
+                  trace.records.size());
+      if (trace.dropped > 0) {
         std::printf("; %llu older ones dropped per stream cap",
-                    static_cast<unsigned long long>(sink_.dropped()));
+                    static_cast<unsigned long long>(trace.dropped));
       }
       std::printf(")\n");
     }
-    // The metrics report embeds whichever obs sections the run recorded, so
-    // one file diffs the whole run; each section also writes its own
-    // standalone file when its flag named one.
-    std::string extra_sections;
-    if (linestats()) {
-      const hsw::obs::MergedLineStats merged = lhub_.merged();
-      write_linestats_file(args_, merged);
-      extra_sections = hsw::obs::render_linestats_section(merged);
-    }
-    if (resstats()) {
-      const hsw::obs::MergedResourceStats merged = rhub_.merged();
-      write_resstats_file(args_, merged);
-      if (!extra_sections.empty()) extra_sections += ",\n";
-      extra_sections += hsw::obs::render_resources_section(merged);
-    }
-    if (metrics()) write_metrics_report(args_, hub_, extra_sections);
+    write_report(args_, hubs_);
   }
 
  private:
@@ -498,10 +350,45 @@ class BenchTrace {
     double accesses = 0.0;
   };
 
-  [[nodiscard]] hsw::SweepTraceOptions base_options(std::size_t plan) const {
+  // Latency results carry their own attribution, so span trees are
+  // retained only when a trace file was requested; latency points drive no
+  // FIFO servers, so they run no resource recorder.
+  [[nodiscard]] hsw::ObserverSet latency_set() const {
+    hsw::ObserverSet set = args_.observe.set;
+    set.trace = tracing();
+    set.attribution = attribution();
+    set.resources = false;
+    set.trace_capacity = kBenchTraceCapacity;
+    return set;
+  }
+
+  // Bandwidth results carry no per-access breakdown, so --attribution
+  // retains span trees too and finish() attributes the records.
+  [[nodiscard]] hsw::ObserverSet bandwidth_set() const {
+    hsw::ObserverSet set = args_.observe.set;
+    set.trace = enabled();
+    set.trace_capacity = kBenchTraceCapacity;
+    return set;
+  }
+
+  template <class Config, class Result>
+  Result observed(hsw::System& system, Config config,
+                  const hsw::ObserverSet& set,
+                  Result (*run)(hsw::System&, const Config&)) {
+    hsw::PointObservers observers(set, system.config().protocol,
+                                  next_stream_++);
+    config.instrumentation = observers.scope();
+    const Result result = run(system, config);
+    observers.absorb_into(hubs_);
+    return result;
+  }
+
+  [[nodiscard]] hsw::SweepTraceOptions plan_options(
+      std::size_t plan, const hsw::ObserverSet& set) {
     hsw::SweepTraceOptions t;
+    t.observe = set;
+    t.hubs = &hubs_;
     t.stream_base = static_cast<std::uint32_t>(plan) * hsw::kStreamsPerPlan;
-    t.capacity = kBenchTraceCapacity;
     return t;
   }
 
@@ -515,9 +402,9 @@ class BenchTrace {
 
   // Fallback for benches without LatencyResults (bandwidth): attribute the
   // retained span trees directly.
-  void note_from_records() {
+  void note_from_records(const std::vector<hsw::trace::TraceRecord>& records) {
     Row& row = row_for("all traced accesses");
-    for (const hsw::trace::TraceRecord& record : sink_.merged()) {
+    for (const hsw::trace::TraceRecord& record : records) {
       const hsw::trace::AccessAttribution a =
           hsw::trace::attribute(record.spans);
       for (std::size_t c = 0; c < hsw::trace::kComponentCount; ++c) {
@@ -552,12 +439,7 @@ class BenchTrace {
   }
 
   BenchArgs args_;
-  std::string path_;
-  bool attribution_;
-  hsw::trace::TraceSink sink_;
-  hsw::metrics::MetricsHub hub_;
-  hsw::obs::LineStatsHub lhub_;
-  hsw::obs::ResourceStatsHub rhub_;
+  hsw::ObserverHubs hubs_;
   std::uint32_t next_stream_ = 0;
   std::vector<Row> rows_;
 };
@@ -731,8 +613,7 @@ inline std::vector<std::vector<hsw::LatencyResult>> run_latency_grid(
   hsw::ThreadPool pool(jobs);
   hsw::parallel_for_indexed(pool, work.size(), [&](std::size_t w) {
     const auto [p, i] = work[w];
-    hsw::LatencySweepPoint point =
-        hsw::latency_sweep_point(plans[p].config, plans[p].config.sizes[i]);
+    hsw::LatencySweepPoint point = hsw::latency_sweep_point(plans[p].config, i);
     if (progress != nullptr) progress->tick(point.result.lines_measured);
     grid[p][i] = std::move(point.result);
   });
@@ -813,7 +694,7 @@ inline void note_largest_size(BenchTrace& trace,
 // iterate the original `sizes` axis and never see it.
 inline void extend_plans_for_trace(const BenchTrace& trace,
                                    std::vector<LatencySeriesPlan>& plans) {
-  if (!trace.tracing() && !trace.metrics()) return;
+  if (!trace.tracing() && !trace.observe().metrics) return;
   const std::uint64_t beyond_l3 = hsw::mib(40);  // node L3 is 12 x 2.5 MiB
   for (LatencySeriesPlan& plan : plans) {
     if (plan.config.sizes.empty() || plan.config.sizes.back() < beyond_l3) {
@@ -853,8 +734,8 @@ inline std::vector<Series> run_bandwidth_series(
   hsw::ThreadPool pool(jobs);
   hsw::parallel_for_indexed(pool, work.size(), [&](std::size_t w) {
     const auto [p, i] = work[w];
-    hsw::BandwidthSweepPoint point = hsw::bandwidth_sweep_point(
-        plans[p].config, plans[p].config.sizes[i]);
+    hsw::BandwidthSweepPoint point =
+        hsw::bandwidth_sweep_point(plans[p].config, i);
     if (progress != nullptr) progress->tick(0);
     series[p].values[i] = point.gbps;
     if (series[p].has_queueing()) {
@@ -896,12 +777,10 @@ inline void print_paper_note(const char* note) {
 // coherence engine (model validation, application kernels): say so instead
 // of silently ignoring the flags.
 inline void warn_untraced(const BenchArgs& args) {
-  if (args.attribution || !args.trace.empty() || !args.metrics.empty() ||
-      !args.linestats.empty() || !args.resstats.empty()) {
+  if (args.attribution || !args.trace.empty() || args.observe.set.reports()) {
     std::fprintf(stderr,
                  "note: this bench does not issue per-line engine accesses; "
-                 "--trace/--attribution/--metrics/--linestats/--resstats "
-                 "produce no output here\n");
+                 "--trace/--attribution/--observe produce no output here\n");
   }
 }
 

@@ -113,10 +113,10 @@ int main(int argc, char** argv) {
       "protocol x scenario cost matrix: sharing-heavy traces replayed under "
       "MESIF, MESI, MOESI, and Dragon",
       hswbench::ProtocolFlagPolicy::kAllFamilies);
-  if (!args.trace.empty() || args.attribution || !args.metrics.empty()) {
+  if (!args.trace.empty() || args.attribution || args.observe.set.reports()) {
     std::fprintf(stderr,
                  "note: protocol_matrix sweeps all four protocols in one "
-                 "run; --trace/--attribution/--metrics would mix counters "
+                 "run; --trace/--attribution/--observe would mix counters "
                  "that are not comparable across protocols and are "
                  "ignored here\n");
   }

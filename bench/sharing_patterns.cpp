@@ -130,12 +130,11 @@ int main(int argc, char** argv) {
       "flight-recorder sharing-pattern matrix: contention traces classified "
       "per coherence-protocol family",
       hswbench::ProtocolFlagPolicy::kAllFamilies);
-  if (!args.trace.empty() || args.attribution || !args.metrics.empty() ||
-      !args.linestats.empty()) {
+  if (!args.trace.empty() || args.attribution || args.observe.set.reports()) {
     std::fprintf(stderr,
                  "note: sharing_patterns attaches its own per-cell flight "
                  "recorder across all four protocols; --trace/--attribution/"
-                 "--metrics/--linestats are ignored here\n");
+                 "--observe are ignored here\n");
   }
   const int rounds = args.quick ? 400 : 4000;
 

@@ -229,10 +229,10 @@ int main(int argc, char** argv) {
     hsw::LatencySweepConfig sc =
         latency_plans({hsw::mib(1)}, args.seed, exact, true)[0].config;
     const hsw::LatencyResult exact_point =
-        hsw::latency_sweep_point(sc, hsw::mib(1)).result;
+        hsw::latency_sweep_point(sc, 0).result;
     sc.sampling = sampling;
     const hsw::LatencyResult floored_point =
-        hsw::latency_sweep_point(sc, hsw::mib(1)).result;
+        hsw::latency_sweep_point(sc, 0).result;
     const bool identical =
         exact_point.mean_ns == floored_point.mean_ns &&
         exact_point.counters == floored_point.counters;

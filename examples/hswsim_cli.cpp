@@ -17,9 +17,6 @@
 #include <utility>
 
 #include "core/hswbench.h"
-#include "metrics/report.h"
-#include "obs/line_stats.h"
-#include "obs/resource_stats.h"
 #include "util/cli.h"
 #include "workload/trace.h"
 
@@ -45,6 +42,21 @@ void add_config_check(hsw::CommandLine& cli, const std::string& mode,
     (*config)->protocol = *parsed_protocol;
     return std::nullopt;
   });
+}
+
+// Writes the --report document of a one-point run; the subcommand's exit
+// code.
+int write_cli_report(const hsw::ObserveFlags& flags, const hsw::System& system,
+                     const std::string& invocation,
+                     const hsw::ObserverHubs& hubs) {
+  const hsw::metrics::ReportManifest manifest = hsw::make_manifest(
+      "hswsim_cli", invocation + ", " + system.config().describe(),
+      system.config().protocol);
+  if (!hsw::write_observer_report(flags.report, manifest, hubs, flags.set)) {
+    return 1;
+  }
+  std::printf("wrote %s\n", flags.report.c_str());
+  return 0;
 }
 
 int cmd_latency(int argc, char** argv) {
@@ -123,7 +135,7 @@ int cmd_bandwidth(int argc, char** argv) {
   std::uint64_t size = hsw::mib(2);
   bool write = false;
   std::string protocol = "mesif";
-  std::string resstats;
+  hsw::ObserveFlags observe;
   hsw::CommandLine cli("hswsim_cli bandwidth: concurrent memory streams");
   cli.add_string("mode", &mode, "source | home | cod");
   cli.add_string("protocol", &protocol, "mesif | mesi | moesi | dragon");
@@ -134,9 +146,7 @@ int cmd_bandwidth(int argc, char** argv) {
   cli.add_int("node", &node, "memory NUMA node the streams target");
   cli.add_bytes("size", &size, "buffer bytes per stream");
   cli.add_bool("write", &write, "store streams instead of loads");
-  cli.add_string("resstats", &resstats,
-                 "write per-resource queueing telemetry (JSON, simulated "
-                 "engine only; view with hswsim-report bottlenecks)");
+  hsw::add_observe_flags(cli, &observe);
   std::optional<hsw::SystemConfig> config;
   add_config_check(cli, mode, protocol, &config);
   std::optional<hsw::BandwidthEngine> parsed_engine;
@@ -146,10 +156,10 @@ int cmd_bandwidth(int argc, char** argv) {
       return "unknown --engine '" + engine + "' (analytic|simulated)";
     }
     // Only the event-driven engine has FIFO servers to observe; an analytic
-    // run would write an all-zero resources report.
-    if (!resstats.empty() &&
+    // run would write an all-zero resources section.
+    if (observe.set.resources &&
         *parsed_engine != hsw::BandwidthEngine::kSimulated) {
-      return std::string("--resstats requires --engine simulated");
+      return std::string("--observe resources requires --engine simulated");
     }
     return std::nullopt;
   });
@@ -160,8 +170,7 @@ int cmd_bandwidth(int argc, char** argv) {
   }
 
   hsw::System system(*config);
-  std::optional<hsw::obs::ResourceStatsRecorder> recorder;
-  if (!resstats.empty()) recorder.emplace();
+  hsw::PointObservers observers(observe.set, system.config().protocol, 0);
   hsw::BandwidthConfig bc;
   for (int c = 0; c < cores; ++c) {
     hsw::StreamConfig stream;
@@ -175,7 +184,7 @@ int cmd_bandwidth(int argc, char** argv) {
   }
   bc.buffer_bytes = size;
   bc.engine = *parsed_engine;
-  if (recorder) bc.instrumentation.resstats = &*recorder;
+  bc.instrumentation = observers.scope();
   const hsw::BandwidthResult r = hsw::measure_bandwidth(system, bc);
   std::printf("machine   : %s\n", system.config().describe().c_str());
   std::printf("engine    : %s\n", hsw::to_string(bc.engine));
@@ -189,27 +198,12 @@ int cmd_bandwidth(int argc, char** argv) {
                 r.streams[i].bottleneck.empty() ? "" : ", bottleneck ",
                 r.streams[i].bottleneck.c_str());
   }
-  if (recorder) {
-    hsw::obs::ResourceStatsHub hub;
-    hub.absorb(std::move(*recorder));
-    hsw::metrics::ReportManifest manifest;
-    manifest.tool = "hswsim_cli";
-    manifest.config = "bandwidth --mode " + mode + " --cores " +
-                      std::to_string(cores) + ", " +
-                      system.config().describe();
-    manifest.protocol = std::string(hsw::to_string(system.config().protocol));
-    manifest.timing_hash = hsw::timing_fingerprint(
-        hsw::TimingParams::haswell_ep(),
-        hsw::to_string(system.config().protocol));
-    manifest.git = hsw::metrics::git_describe();
-    if (!hsw::obs::write_resources_report(resstats, manifest, hub.merged())) {
-      std::fprintf(stderr, "failed to write resources report %s\n",
-                   resstats.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", resstats.c_str());
-  }
-  return 0;
+  if (!observe.set.reports()) return 0;
+  hsw::ObserverHubs hubs;
+  observers.absorb_into(hubs);
+  return write_cli_report(
+      observe, system,
+      "bandwidth --mode " + mode + " --cores " + std::to_string(cores), hubs);
 }
 
 int cmd_topo(int argc, char** argv) {
@@ -262,13 +256,11 @@ int cmd_trace(int argc, char** argv) {
   bool concurrent = false;
   std::int64_t window = 10;
   std::string protocol = "mesif";
-  std::string linestats;
+  hsw::ObserveFlags observe;
   hsw::CommandLine cli("hswsim_cli trace: synthetic trace replay");
   cli.add_string("mode", &mode, "source | home | cod");
   cli.add_string("protocol", &protocol, "mesif | mesi | moesi | dragon");
-  cli.add_string("linestats", &linestats,
-                 "write the per-line flight-recorder report (JSON) to this "
-                 "file; view with `hswsim-report lines` / `transitions`");
+  hsw::add_observe_flags(cli, &observe);
   cli.add_string("pattern", &pattern,
                  "stream | chase | producer-consumer | hotset | pingpong | "
                  "lock | false-sharing | false-sharing-padded");
@@ -289,6 +281,13 @@ int cmd_trace(int argc, char** argv) {
       if (pattern == known) return std::nullopt;
     }
     return "unknown --pattern '" + pattern + "'";
+  });
+  cli.add_check([&]() -> std::optional<std::string> {
+    // The serial replayer drives no FIFO servers.
+    if (observe.set.resources && !concurrent) {
+      return std::string("--observe resources requires --concurrent");
+    }
+    return std::nullopt;
   });
   switch (cli.parse_status(argc, argv)) {
     case hsw::CommandLine::ParseStatus::kOk: break;
@@ -333,13 +332,9 @@ int cmd_trace(int argc, char** argv) {
 
   std::printf("machine : %s\n", system.config().describe().c_str());
 
-  // Optional flight recorder; both replayers take the same scope.
-  std::optional<hsw::obs::LineStatsRecorder> recorder;
-  hsw::InstrumentationScope scope;
-  if (!linestats.empty()) {
-    recorder.emplace(system.config().protocol, /*stream=*/0);
-    scope.linestats = &*recorder;
-  }
+  // Optional report observers; both replayers take the same scope.
+  hsw::PointObservers observers(observe.set, system.config().protocol, 0);
+  const hsw::InstrumentationScope scope = observers.scope();
 
   hsw::ReplayStats stats;
   if (concurrent) {
@@ -386,10 +381,11 @@ int cmd_trace(int argc, char** argv) {
                 std::string(hsw::ctr_name(static_cast<hsw::Ctr>(i))).c_str(),
                 static_cast<unsigned long long>(stats.counters[i]));
   }
-  if (recorder) {
-    hsw::obs::LineStatsHub hub;
-    hub.absorb(std::move(*recorder));
-    const hsw::obs::MergedLineStats merged = hub.merged();
+  if (!observe.set.reports()) return 0;
+  hsw::ObserverHubs hubs;
+  observers.absorb_into(hubs);
+  if (observe.set.lines) {
+    const hsw::obs::MergedLineStats merged = hubs.lines.merged();
     std::printf("patterns:");
     for (std::size_t p = 0; p < hsw::obs::kSharingPatternCount; ++p) {
       if (merged.patterns[p] == 0) continue;
@@ -398,24 +394,8 @@ int cmd_trace(int argc, char** argv) {
                   static_cast<unsigned long long>(merged.patterns[p]));
     }
     std::printf("\n");
-    hsw::metrics::ReportManifest manifest;
-    manifest.tool = "hswsim_cli";
-    manifest.config =
-        "trace --pattern " + pattern + ", " + system.config().describe();
-    manifest.protocol =
-        std::string(hsw::to_string(system.config().protocol));
-    manifest.timing_hash = hsw::timing_fingerprint(
-        hsw::TimingParams::haswell_ep(),
-        hsw::to_string(system.config().protocol));
-    manifest.git = hsw::metrics::git_describe();
-    if (!hsw::obs::write_linestats_report(linestats, manifest, merged)) {
-      std::fprintf(stderr, "failed to write linestats report %s\n",
-                   linestats.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", linestats.c_str());
   }
-  return 0;
+  return write_cli_report(observe, system, "trace --pattern " + pattern, hubs);
 }
 
 }  // namespace

@@ -61,44 +61,35 @@ grep -q "hitme_lookup" "$trace_dir/attribution.csv" \
 echo "trace smoke: ok"
 
 echo "== metrics smoke =="
-# A --metrics run of the same bench must emit a report whose uncore
+# An --observe metrics run of the same bench must emit a report whose uncore
 # counters capture the paper's two signature COD effects with nonzero
 # counts (Table V stale broadcasts, Fig. 7 HitME hits), and
 # hswsim-report must call a report equal to itself.
 "$repo_root/build/bench/attribution_breakdown" --quick --seed 1 \
-  --metrics "$trace_dir/attribution.metrics.json" > /dev/null
-grep -Eq '"HA_DIRECTORY_STALE_BCAST": [1-9]' "$trace_dir/attribution.metrics.json" \
+  --observe metrics --report "$trace_dir/attribution.report.json" > /dev/null
+grep -Eq '"HA_DIRECTORY_STALE_BCAST": [1-9]' "$trace_dir/attribution.report.json" \
   || { echo "metrics smoke: HA_DIRECTORY_STALE_BCAST is zero or missing"; exit 1; }
-grep -Eq '"HA_HITME_HIT": [1-9]' "$trace_dir/attribution.metrics.json" \
+grep -Eq '"HA_HITME_HIT": [1-9]' "$trace_dir/attribution.report.json" \
   || { echo "metrics smoke: HA_HITME_HIT is zero or missing"; exit 1; }
 "$repo_root/build/src/metrics/hswsim-report" diff \
-  "$trace_dir/attribution.metrics.json" "$trace_dir/attribution.metrics.json" \
+  "$trace_dir/attribution.report.json" "$trace_dir/attribution.report.json" \
   > /dev/null \
   || { echo "metrics smoke: hswsim-report diff report vs itself failed"; exit 1; }
 echo "metrics smoke: ok"
 
 echo "== line-stats smoke =="
-# A --linestats run must emit a flight-recorder report hswsim-report can
-# render (lines + transitions views), the report bytes must not depend on
-# --jobs (beyond the masked manifest jobs line), and the sharing-pattern
-# matrix bench must hold its own protocol-contrast gates.
+# An --observe lines run must emit a report whose lines section
+# hswsim-report can render (lines + transitions views), and the
+# sharing-pattern matrix bench must hold its own protocol-contrast gates.
+# (That the report bytes do not depend on --jobs is the
+# linestats_determinism_* ctest, run above.)
 "$repo_root/build/bench/fig4_latency_source" --quick --seed 1 --jobs 1 \
-  --linestats "$trace_dir/fig4.jobs1.linestats.json" > /dev/null
-"$repo_root/build/bench/fig4_latency_source" --quick --seed 1 --jobs 8 \
-  --linestats "$trace_dir/fig4.jobs8.linestats.json" > /dev/null
-for jobs in 1 8; do
-  sed 's/"jobs": [0-9]*/"jobs": MASKED/' \
-    "$trace_dir/fig4.jobs$jobs.linestats.json" \
-    > "$trace_dir/fig4.jobs$jobs.linestats.masked"
-done
-cmp -s "$trace_dir/fig4.jobs1.linestats.masked" \
-  "$trace_dir/fig4.jobs8.linestats.masked" \
-  || { echo "line-stats smoke: --jobs 1 vs 8 reports differ"; exit 1; }
+  --observe lines --report "$trace_dir/fig4.lines.json" > /dev/null
 "$repo_root/build/src/metrics/hswsim-report" lines \
-  "$trace_dir/fig4.jobs1.linestats.json" > /dev/null \
+  "$trace_dir/fig4.lines.json" > /dev/null \
   || { echo "line-stats smoke: hswsim-report lines failed"; exit 1; }
 "$repo_root/build/src/metrics/hswsim-report" transitions \
-  "$trace_dir/fig4.jobs1.linestats.json" > /dev/null \
+  "$trace_dir/fig4.lines.json" > /dev/null \
   || { echo "line-stats smoke: hswsim-report transitions failed"; exit 1; }
 "$repo_root/build/bench/sharing_patterns" --quick --seed 1 > /dev/null \
   || { echo "line-stats smoke: sharing_patterns protocol gates failed"; exit 1; }

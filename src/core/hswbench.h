@@ -19,12 +19,12 @@
 //                replay_concurrent
 //   workloads    Trace generators + replay / replay_concurrent
 //                (link hswsim_workload for these)
-//   observability InstrumentationScope {tracer, metrics, linestats} — one
-//                struct wired through every config above; trace::TraceSink,
-//                metrics::MetricsHub, and obs::LineStatsHub collect across
-//                sweep points (the latter is the per-line coherence flight
-//                recorder: transition matrix, state residency, sharing-
-//                pattern classification — obs/line_stats.h)
+//   observability InstrumentationScope {tracer, metrics, linestats,
+//                resstats} — one struct wired through every config above;
+//                PointObservers builds it per point and absorbs the
+//                recorders into ObserverHubs (one StreamHub per observer),
+//                and write_observer_report writes the one versioned report
+//                document (core/observers.h)
 //   output       Table, format_ns / format_gbps / format_bytes, kib/mib/gib
 //
 // Quickstart (examples/quickstart.cpp is the runnable version):
@@ -77,14 +77,11 @@
 #include "core/experiment.h"
 #include "core/instrumentation.h"
 #include "core/latency.h"
+#include "core/observers.h"
 #include "core/placement.h"
 #include "core/sweep.h"
 #include "exec/engine.h"
 #include "machine/specs.h"
 #include "machine/system.h"
-#include "metrics/hub.h"
-#include "metrics/report.h"
-#include "obs/line_stats.h"
-#include "trace/sink.h"
 #include "util/table.h"
 #include "util/units.h"

@@ -1,15 +1,11 @@
 // Shared instrumentation wiring for every measurement path.
 //
-// Before this header existed, LatencyConfig, BandwidthConfig, and the replay
-// helpers each carried their own `trace::Tracer*` / `metrics::MetricsRegistry*`
-// pair and hand-rolled the attach / run / detach / capture-counters dance.
-// InstrumentationScope is that pair as one value, and ScopedInstrumentation
-// is the dance as one RAII object: construct it around a measured section
-// and the tracer and registry are attached to the engine; destruction (or an
-// explicit release()) detaches both and captures the engine-counter delta
-// into the registry.  Every subsystem — latency, bandwidth, replay, and the
-// concurrent exec engine — takes the same scope, so observability is wired
-// once, not re-implemented per measurement kind.
+// InstrumentationScope is the set of recorders a measured section feeds,
+// and ScopedInstrumentation attaches them to the engine around the section:
+// destruction (or an explicit release()) detaches them and captures the
+// engine-counter delta into the registry.  Every subsystem — latency,
+// bandwidth, replay, and the concurrent exec engine — takes the same scope;
+// core/observers.h builds one per measured point.
 #pragma once
 
 #include "machine/system.h"
@@ -38,11 +34,6 @@ struct InstrumentationScope {
   // it has no System attach point, so ScopedInstrumentation leaves it
   // alone.
   obs::ResourceStatsRecorder* resstats = nullptr;
-
-  [[nodiscard]] bool any() const {
-    return tracer != nullptr || metrics != nullptr || linestats != nullptr ||
-           resstats != nullptr;
-  }
 };
 
 // RAII attach/detach around a measured section:

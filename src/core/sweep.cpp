@@ -1,6 +1,5 @@
 #include "core/sweep.h"
 
-#include <optional>
 #include <stdexcept>
 
 #include "sim/thread_pool.h"
@@ -18,58 +17,17 @@ void check_level_unset(const Placement& placement) {
   }
 }
 
-// Stream id for the point measuring `bytes`: base + position in the size
-// axis.  Derived from configuration alone — never from worker scheduling —
-// so traces merge identically for any job count.
-std::uint32_t stream_for(const SweepTraceOptions& trace,
-                         const std::vector<std::uint64_t>& sizes,
-                         std::uint64_t bytes) {
-  std::uint32_t stream = trace.stream_base;
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (sizes[i] == bytes) {
-      stream += static_cast<std::uint32_t>(i);
-      break;
-    }
+// The observers of point `index`; `set` is the sweep's observer set less
+// whatever the measurement kind cannot feed.
+PointObservers point_observers(const SweepTraceOptions& trace,
+                               const ObserverSet& set, Protocol protocol,
+                               std::size_t index) {
+  if (set.retains() && trace.hubs == nullptr) {
+    throw std::invalid_argument(
+        "sweep observers that retain results need SweepTraceOptions::hubs");
   }
-  return stream;
-}
-
-std::optional<trace::Tracer> make_tracer(const SweepTraceOptions& trace,
-                                         const std::vector<std::uint64_t>& sizes,
-                                         std::uint64_t bytes) {
-  if (!trace.enabled()) return std::nullopt;
-  return trace::Tracer(trace.sink != nullptr ? trace::Tracer::Mode::kFull
-                                             : trace::Tracer::Mode::kAttribution,
-                       stream_for(trace, sizes, bytes), trace.capacity);
-}
-
-// Per-point metrics registry sharing the tracer's stream id, so the merged
-// report lines up with the merged trace point-for-point.
-std::optional<metrics::MetricsRegistry> make_registry(
-    const SweepTraceOptions& trace, const std::vector<std::uint64_t>& sizes,
-    std::uint64_t bytes) {
-  if (!trace.metrics_enabled()) return std::nullopt;
-  return metrics::MetricsRegistry(stream_for(trace, sizes, bytes),
-                                  trace.metrics_interval);
-}
-
-// Per-point flight recorder, again on the shared stream id: the hub folds
-// recorders by stream, keeping merged line stats independent of `jobs`.
-std::optional<obs::LineStatsRecorder> make_recorder(
-    const SweepTraceOptions& trace, Protocol protocol,
-    const std::vector<std::uint64_t>& sizes, std::uint64_t bytes) {
-  if (!trace.linestats_enabled()) return std::nullopt;
-  return obs::LineStatsRecorder(protocol, stream_for(trace, sizes, bytes));
-}
-
-// Per-point resource recorder on the same shared stream id; fed by the
-// simulated bandwidth engine's closed loops, folded by the hub in stream
-// order.
-std::optional<obs::ResourceStatsRecorder> make_resource_recorder(
-    const SweepTraceOptions& trace, const std::vector<std::uint64_t>& sizes,
-    std::uint64_t bytes) {
-  if (!trace.resstats_enabled()) return std::nullopt;
-  return obs::ResourceStatsRecorder(stream_for(trace, sizes, bytes));
+  return PointObservers(set, protocol,
+                        trace.stream_base + static_cast<std::uint32_t>(index));
 }
 
 }  // namespace
@@ -86,8 +44,9 @@ std::vector<std::uint64_t> sweep_sizes(std::uint64_t min_bytes,
 }
 
 LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
-                                      std::uint64_t bytes) {
+                                      std::size_t index) {
   config.sampling.validate();
+  const std::uint64_t bytes = config.sizes.at(index);
   // Under set-sampling the point runs on the scaled machine (every cache
   // keeps 1/2^k of its sets) against the equally scaled buffer; the means
   // estimate the full point, counters are scaled back to full-population
@@ -97,8 +56,11 @@ LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
   SystemConfig machine = config.system;
   machine.geometry = plan.scaled(machine.geometry);
   System system(machine);
-  std::optional<trace::Tracer> tracer =
-      make_tracer(config.trace, config.sizes, bytes);
+  // Latency points drive no FIFO servers, so they run no resource recorder.
+  ObserverSet set = config.trace.observe;
+  set.resources = false;
+  PointObservers observers =
+      point_observers(config.trace, set, machine.protocol, index);
   LatencyConfig lc;
   lc.reader_core = config.reader_core;
   lc.placement = config.placement;
@@ -106,20 +68,10 @@ LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
   lc.buffer_bytes = plan.scaled_bytes(bytes);
   lc.max_measured_lines = plan.scaled_measured_lines(config.max_measured_lines);
   lc.seed = plan.active() ? config.sampling.mix_seed(config.seed) : config.seed;
-  lc.instrumentation.tracer = tracer ? &*tracer : nullptr;
-  std::optional<metrics::MetricsRegistry> registry =
-      make_registry(config.trace, config.sizes, bytes);
-  lc.instrumentation.metrics = registry ? &*registry : nullptr;
-  std::optional<obs::LineStatsRecorder> recorder = make_recorder(
-      config.trace, machine.protocol, config.sizes, bytes);
-  lc.instrumentation.linestats = recorder ? &*recorder : nullptr;
+  lc.instrumentation = observers.scope();
   LatencySweepPoint point{bytes, measure_latency(system, lc)};
   plan.scale_counters(point.result.counters);
-  if (config.trace.sink != nullptr && tracer) {
-    config.trace.sink->absorb(std::move(*tracer));
-  }
-  if (registry) config.trace.metrics->absorb(std::move(*registry));
-  if (recorder) config.trace.linestats->absorb(std::move(*recorder));
+  if (config.trace.hubs != nullptr) observers.absorb_into(*config.trace.hubs);
   return point;
 }
 
@@ -128,14 +80,15 @@ std::vector<LatencySweepPoint> latency_sweep(const LatencySweepConfig& config) {
   std::vector<LatencySweepPoint> points(config.sizes.size());
   ThreadPool pool(config.jobs);
   parallel_for_indexed(pool, config.sizes.size(), [&](std::size_t i) {
-    points[i] = latency_sweep_point(config, config.sizes[i]);
+    points[i] = latency_sweep_point(config, i);
   });
   return points;
 }
 
 BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,
-                                          std::uint64_t bytes) {
+                                          std::size_t index) {
   config.sampling.validate();
+  const std::uint64_t bytes = config.sizes.at(index);
   // Same scaled-machine scheme as latency_sweep_point; rates derive from
   // probe means and the unscaled bandwidth model, so they need no
   // rescaling.
@@ -143,8 +96,8 @@ BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,
   SystemConfig machine = config.system;
   machine.geometry = plan.scaled(machine.geometry);
   System system(machine);
-  std::optional<trace::Tracer> tracer =
-      make_tracer(config.trace, config.sizes, bytes);
+  PointObservers observers = point_observers(
+      config.trace, config.trace.observe, machine.protocol, index);
   BandwidthConfig bc;
   StreamConfig stream = config.stream;
   stream.placement.level = CacheLevel::kL1L2;
@@ -153,23 +106,9 @@ BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,
   bc.seed = plan.active() ? config.sampling.mix_seed(config.seed) : config.seed;
   bc.model = config.model;
   bc.engine = config.engine;
-  bc.instrumentation.tracer = tracer ? &*tracer : nullptr;
-  std::optional<metrics::MetricsRegistry> registry =
-      make_registry(config.trace, config.sizes, bytes);
-  bc.instrumentation.metrics = registry ? &*registry : nullptr;
-  std::optional<obs::LineStatsRecorder> recorder = make_recorder(
-      config.trace, machine.protocol, config.sizes, bytes);
-  bc.instrumentation.linestats = recorder ? &*recorder : nullptr;
-  std::optional<obs::ResourceStatsRecorder> resources =
-      make_resource_recorder(config.trace, config.sizes, bytes);
-  bc.instrumentation.resstats = resources ? &*resources : nullptr;
+  bc.instrumentation = observers.scope();
   const BandwidthResult result = measure_bandwidth(system, bc);
-  if (config.trace.sink != nullptr && tracer) {
-    config.trace.sink->absorb(std::move(*tracer));
-  }
-  if (registry) config.trace.metrics->absorb(std::move(*registry));
-  if (recorder) config.trace.linestats->absorb(std::move(*recorder));
-  if (resources) config.trace.resstats->absorb(std::move(*resources));
+  if (config.trace.hubs != nullptr) observers.absorb_into(*config.trace.hubs);
   BandwidthSweepPoint point;
   point.bytes = bytes;
   point.gbps = result.total_gbps;
@@ -185,7 +124,7 @@ std::vector<BandwidthSweepPoint> bandwidth_sweep(
   std::vector<BandwidthSweepPoint> points(config.sizes.size());
   ThreadPool pool(config.jobs);
   parallel_for_indexed(pool, config.sizes.size(), [&](std::size_t i) {
-    points[i] = bandwidth_sweep_point(config, config.sizes[i]);
+    points[i] = bandwidth_sweep_point(config, i);
   });
   return points;
 }

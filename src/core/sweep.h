@@ -7,7 +7,7 @@
 //
 // Points are independent — each one owns its System — so sweeps run the
 // size axis in parallel when `jobs > 1`.  Results land in slots indexed by
-// size, making the output bit-identical to the serial path for any job
+// position, making the output bit-identical to the serial path for any job
 // count (the determinism the regression harness relies on).
 #pragma once
 
@@ -18,48 +18,25 @@
 #include "core/bandwidth.h"
 #include "core/latency.h"
 #include "core/sampling.h"
+#include "core/observers.h"
 #include "machine/system.h"
-#include "metrics/hub.h"
-#include "obs/line_stats.h"
-#include "obs/resource_stats.h"
-#include "trace/sink.h"
 
 namespace hsw {
 
-// Tracing options shared by the sweep drivers.  Each sweep point gets its
-// own Tracer with stream id `stream_base + size_index`; ids are derived from
-// the point's position in `sizes`, never from scheduling, so the merged
-// trace is byte-identical for any `jobs` value.  Benches give each plan a
-// disjoint stream_base (plan_index * kStreamsPerPlan).
+// Observer options shared by the sweep drivers.  Point `i` of `sizes` runs
+// the observers of `observe` on stream id `stream_base + i` — derived from
+// the point's position, never from scheduling, and distinct even when two
+// sizes are equal — and absorbs them into `hubs` (thread-safe) as it
+// finishes.  The hubs fold by stream id, so merged traces and reports are
+// byte-identical for any `jobs` value.  Benches give each plan a disjoint
+// stream_base (plan_index * kStreamsPerPlan).
 struct SweepTraceOptions {
-  // When set, full span trees are retained and absorbed into the sink
-  // (thread-safe) as each point finishes.
-  trace::TraceSink* sink = nullptr;
-  // Attribution-only mode: per-access component breakdowns are aggregated
-  // into LatencyResult::component_ns without retaining records.
-  bool attribution = false;
+  // Attribution alone aggregates per-access component breakdowns into
+  // LatencyResult::component_ns without retaining anything.
+  ObserverSet observe;
+  // Required when `observe` retains results (trace or a report observer).
+  ObserverHubs* hubs = nullptr;
   std::uint32_t stream_base = 0;
-  std::size_t capacity = trace::Tracer::kDefaultCapacity;
-  // When set, each sweep point also runs an uncore-metrics registry (stream
-  // id shared with the tracer) absorbed into the hub as the point finishes;
-  // the hub's merge is keyed by stream id, so the merged report is
-  // byte-identical for any job count.
-  metrics::MetricsHub* metrics = nullptr;
-  std::uint64_t metrics_interval = metrics::kDefaultSampleInterval;
-  // When set, each sweep point also runs a per-line coherence flight
-  // recorder (stream id shared with the tracer) absorbed into the hub as
-  // the point finishes; the hub folds recorders in stream-id order, so the
-  // merged line stats are byte-identical for any job count.
-  obs::LineStatsHub* linestats = nullptr;
-  // When set, each bandwidth sweep point under the simulated engine also
-  // runs a per-resource queueing recorder (stream id shared with the
-  // tracer); same stream-id-ordered fold, same any-jobs byte identity.
-  obs::ResourceStatsHub* resstats = nullptr;
-
-  [[nodiscard]] bool enabled() const { return sink != nullptr || attribution; }
-  [[nodiscard]] bool metrics_enabled() const { return metrics != nullptr; }
-  [[nodiscard]] bool linestats_enabled() const { return linestats != nullptr; }
-  [[nodiscard]] bool resstats_enabled() const { return resstats != nullptr; }
 };
 
 inline constexpr std::uint32_t kStreamsPerPlan = 4096;
@@ -93,10 +70,11 @@ struct LatencySweepConfig {
   SamplingConfig sampling;
 };
 
-// Measures a single size on a fresh System (the unit of work the parallel
-// sweep and the bench fan-out both dispatch).
+// Measures point `index` of `config.sizes` on a fresh System (the unit of
+// work the parallel sweep and the bench fan-out both dispatch).  Throws
+// std::out_of_range for an index outside `sizes`.
 LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
-                                      std::uint64_t bytes);
+                                      std::size_t index);
 
 std::vector<LatencySweepPoint> latency_sweep(const LatencySweepConfig& config);
 
@@ -129,7 +107,7 @@ struct BandwidthSweepConfig {
 };
 
 BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,
-                                          std::uint64_t bytes);
+                                          std::size_t index);
 
 std::vector<BandwidthSweepPoint> bandwidth_sweep(const BandwidthSweepConfig& config);
 

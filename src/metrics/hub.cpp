@@ -1,35 +1,12 @@
 #include "metrics/hub.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace hsw::metrics {
 
-void MetricsHub::absorb(MetricsRegistry&& registry) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  registries_.push_back(std::move(registry));
-}
-
-std::size_t MetricsHub::stream_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return registries_.size();
-}
-
-MergedMetrics MetricsHub::merged() const {
-  std::vector<const MetricsRegistry*> order;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    order.reserve(registries_.size());
-    for (const MetricsRegistry& r : registries_) order.push_back(&r);
-  }
-  std::sort(order.begin(), order.end(),
-            [](const MetricsRegistry* a, const MetricsRegistry* b) {
-              return a->stream() < b->stream();
-            });
-
+MergedMetrics merge_streams(
+    std::span<const MetricsRegistry* const> in_stream_order) {
   MergedMetrics out;
-  out.streams = order.size();
-  for (const MetricsRegistry* r : order) {
+  out.streams = in_stream_order.size();
+  for (const MetricsRegistry* r : in_stream_order) {
     out.accesses += r->accesses();
     for (std::size_t i = 0; i < kMCtrCount; ++i) {
       out.counters[i] += r->counters()[i];

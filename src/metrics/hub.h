@@ -1,14 +1,15 @@
-// Deterministic multi-stream merge, the metrics counterpart of
-// trace::TraceSink.  Sweep workers absorb their finished per-point
-// registries from any thread; merged() folds them in stream-id order, so
-// the merged counters, meters (double summation order included), and the
-// (stream, seq)-sorted sample series are byte-identical for any --jobs.
+// The metrics counterpart of the other observers' merges: MetricsHub is
+// the generic StreamHub (util/stream_hub.h) over per-point registries, and
+// merge_streams() is its fold — counters, meters (double summation order
+// included), and the (stream, seq)-sorted sample series come out
+// byte-identical for any --jobs.
 #pragma once
 
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "metrics/registry.h"
+#include "util/stream_hub.h"
 
 namespace hsw::metrics {
 
@@ -26,16 +27,9 @@ struct MergedMetrics {
   std::vector<MetricsSample> samples;  // sorted by (stream, seq)
 };
 
-class MetricsHub {
- public:
-  void absorb(MetricsRegistry&& registry);
+[[nodiscard]] MergedMetrics merge_streams(
+    std::span<const MetricsRegistry* const> in_stream_order);
 
-  [[nodiscard]] MergedMetrics merged() const;
-  [[nodiscard]] std::size_t stream_count() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<MetricsRegistry> registries_;
-};
+using MetricsHub = StreamHub<MetricsRegistry>;
 
 }  // namespace hsw::metrics

@@ -1,4 +1,4 @@
-// hswsim-report: inspect and diff the --metrics / --linestats JSON reports.
+// hswsim-report: inspect and diff the --observe ... --report documents.
 //
 //   hswsim-report show FILE              summary table of one report (plus
 //                                        a listing of which sections the
@@ -13,8 +13,9 @@
 // diff compares every metric key tolerance-aware with the same cell
 // machinery the golden-figure regression uses (src/check/golden.h):
 // numeric values within rel/abs epsilon pass, everything else must match
-// exactly.  Linestats keys (patterns, residency, the transition matrix,
-// top lines) flatten to dotted keys and diff through the same path.
+// exactly.  Every section (metrics, lines, resources) flattens to dotted
+// keys and diffs through the same path.  Only hswsim_report_version 2
+// documents are read; anything else is refused as an unknown version.
 // Manifest fields are provenance, not metrics — differences are printed
 // but do not fail the diff, with one exception: reports from different
 // coherence-protocol families are refused outright (the engine counters
@@ -26,6 +27,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/golden.h"
@@ -47,13 +49,6 @@ int usage() {
   return 2;
 }
 
-// Reports written before the protocol axis existed carry no manifest
-// protocol; they could only have simulated MESIF.
-[[nodiscard]] std::string protocol_of(const FlatReport& report) {
-  const auto it = report.find("manifest.protocol");
-  return it == report.end() ? std::string{"mesif"} : it->second;
-}
-
 // Loads and validates one report; 0 on success, 1 with a cause-specific
 // message otherwise (CI greps these, so each failure mode names itself).
 int load(const std::string& path, FlatReport* out) {
@@ -73,15 +68,27 @@ int load(const std::string& path, FlatReport* out) {
                    "truncated JSON\n",
                    path.c_str());
       return 1;
-    case ReportLoadError::kUnknownVersion:
+    case ReportLoadError::kUnknownVersion: {
+      // Name what the file carries: a future version, or a retired
+      // single-observer report (the pre-v2 standalone metrics / linestats /
+      // resources files).
+      std::string found = "no version key";
+      for (const char* key :
+           {"hswsim_report_version", "hswsim_metrics_version",
+            "hswsim_linestats_version", "hswsim_resources_version"}) {
+        const auto it = out->find(key);
+        if (it != out->end()) {
+          found = std::string(key) + " " + it->second;
+          break;
+        }
+      }
       std::fprintf(stderr,
                    "hswsim-report: '%s' has an unknown report version "
-                   "(expected hswsim_metrics_version, "
-                   "hswsim_linestats_version, or hswsim_resources_version "
-                   "= %d); regenerate the report with "
-                   "this build\n",
-                   path.c_str(), hsw::metrics::kReportVersion);
+                   "(found %s, this build reads hswsim_report_version %d); "
+                   "regenerate the report with this build\n",
+                   path.c_str(), found.c_str(), hsw::metrics::kReportVersion);
       return 1;
+    }
   }
   return 1;
 }
@@ -92,93 +99,73 @@ int load(const std::string& path, FlatReport* out) {
   return it == report.end() ? std::string{} : it->second;
 }
 
-// All report flavours share the version value; the key names the flavour.
-[[nodiscard]] std::string version_of(const FlatReport& report) {
-  for (const char* key : {"hswsim_metrics_version", "hswsim_linestats_version",
-                          "hswsim_resources_version"}) {
-    const std::string version = lookup(report, key);
-    if (!version.empty()) return version;
+// Each observer that ran has a top-level section named after it.
+[[nodiscard]] bool has_section(const FlatReport& report,
+                               const std::string& section) {
+  const auto it = report.lower_bound(section + ".");
+  return it != report.end() && it->first.starts_with(section + ".");
+}
+
+// The section-presence check the lines / transitions / bottlenecks views
+// share: 0 when present, 1 with a message naming the flag that adds it.
+int require_section(const FlatReport& report, const std::string& path,
+                    const std::string& section) {
+  if (has_section(report, section)) return 0;
+  std::fprintf(stderr,
+               "hswsim-report: %s has no %s section; rerun with --observe %s "
+               "--report FILE%s\n",
+               path.c_str(), section.c_str(), section.c_str(),
+               section == "resources" ? " (and --engine simulated)" : "");
+  return 1;
+}
+
+// The rows of an array section ("<array>.0.<field>", "<array>.1.<field>",
+// ...): one cell per field, until the first element missing fields[0].
+[[nodiscard]] std::vector<std::vector<std::string>> array_rows(
+    const FlatReport& report, const std::string& array,
+    const std::vector<std::string>& fields) {
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0;; ++i) {
+    const std::string prefix = array + "." + std::to_string(i) + ".";
+    if (!report.contains(prefix + fields.front())) return rows;
+    std::vector<std::string>& row = rows.emplace_back();
+    for (const std::string& field : fields) {
+      row.push_back(lookup(report, prefix + field));
+    }
   }
-  return {};
-}
-
-// The flight-recorder section is present in --linestats reports and in
-// --metrics reports from runs that also set --linestats.
-[[nodiscard]] bool has_linestats(const FlatReport& report) {
-  return !lookup(report, "linestats.hswsim_linestats_version").empty();
-}
-
-int require_linestats(const FlatReport& report, const std::string& path) {
-  if (has_linestats(report)) return 0;
-  std::fprintf(stderr,
-               "hswsim-report: %s has no linestats section; rerun the bench "
-               "with --linestats (or --metrics together with --linestats)\n",
-               path.c_str());
-  return 1;
-}
-
-// The resources section is present in --resstats reports and in --metrics
-// reports from simulated-engine runs that also set --resstats.
-[[nodiscard]] bool has_resources(const FlatReport& report) {
-  return !lookup(report, "resources.hswsim_resources_version").empty();
-}
-
-int require_resources(const FlatReport& report, const std::string& path) {
-  if (has_resources(report)) return 0;
-  std::fprintf(stderr,
-               "hswsim-report: %s has no resources section; rerun the bench "
-               "with --engine simulated and --resstats (or --metrics "
-               "together with --resstats)\n",
-               path.c_str());
-  return 1;
 }
 
 // `bottlenecks` view: every simulated FIFO resource ranked by busy-fraction
 // utilization (ties broken by total queueing wait), so the saturated box —
 // the bottleneck — tops the table.
 int bottlenecks_view(const FlatReport& report, const std::string& path) {
-  if (require_resources(report, path) != 0) return 1;
+  if (require_section(report, path, "resources") != 0) return 1;
   std::printf("resource telemetry %s (%s streams, %s ns simulated)\n",
               path.c_str(), lookup(report, "resources.streams").c_str(),
               lookup(report, "resources.elapsed_ns").c_str());
 
-  struct Item {
-    double utilization = 0.0;
-    double wait_total = 0.0;
-    std::vector<std::string> cells;
-  };
-  std::vector<Item> items;
-  for (int i = 0;; ++i) {
-    const std::string prefix = "resources.items." + std::to_string(i) + ".";
-    const std::string name = lookup(report, prefix + "name");
-    if (name.empty()) break;
-    Item item;
-    item.utilization = std::atof(lookup(report, prefix + "utilization").c_str());
-    item.wait_total = std::atof(lookup(report, prefix + "wait_total_ns").c_str());
-    item.cells = {name,
-                  lookup(report, prefix + "utilization"),
-                  lookup(report, prefix + "capacity_gbps"),
-                  lookup(report, prefix + "busy_ns"),
-                  lookup(report, prefix + "services"),
-                  lookup(report, prefix + "arrivals_per_us"),
-                  lookup(report, prefix + "wait_mean_ns"),
-                  lookup(report, prefix + "wait_max_ns"),
-                  lookup(report, prefix + "depth_mean"),
-                  lookup(report, prefix + "depth_max")};
-    items.push_back(std::move(item));
-  }
-  std::stable_sort(items.begin(), items.end(),
-                   [](const Item& a, const Item& b) {
-                     if (a.utilization != b.utilization) {
-                       return a.utilization > b.utilization;
-                     }
-                     return a.wait_total > b.wait_total;
+  // Rank by utilization (cell 1), then by total wait (the last cell).
+  std::vector<std::vector<std::string>> rows = array_rows(
+      report, "resources.items",
+      {"name", "utilization", "capacity_gbps", "busy_ns", "services",
+       "arrivals_per_us", "wait_mean_ns", "wait_max_ns", "depth_mean",
+       "depth_max", "wait_total_ns"});
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const auto& a, const auto& b) {
+                     const double ua = std::atof(a[1].c_str());
+                     const double ub = std::atof(b[1].c_str());
+                     if (ua != ub) return ua > ub;
+                     return std::atof(a.back().c_str()) >
+                            std::atof(b.back().c_str());
                    });
 
   hsw::Table table({"resource", "utilization", "capacity GB/s", "busy ns",
                     "services", "arrivals/us", "wait mean ns", "wait max ns",
                     "depth mean", "depth max"});
-  for (const Item& item : items) table.add_row(item.cells);
+  for (std::vector<std::string>& row : rows) {
+    row.pop_back();  // the wait total only breaks ties
+    table.add_row(std::move(row));
+  }
   std::printf("resources by utilization (bottleneck first)\n%s\n",
               table.to_string().c_str());
   return 0;
@@ -187,45 +174,36 @@ int bottlenecks_view(const FlatReport& report, const std::string& path) {
 // `lines` view: sharing-pattern census, per-state L3 residency, and the
 // top contended lines ranked by invalidations + forwards.
 int lines_view(const FlatReport& report, const std::string& path) {
-  if (require_linestats(report, path) != 0) return 1;
+  if (require_section(report, path, "lines") != 0) return 1;
   std::printf(
       "line stats %s (protocol %s, %s streams, %s accesses, %s lines)\n",
-      path.c_str(), lookup(report, "linestats.protocol").c_str(),
-      lookup(report, "linestats.streams").c_str(),
-      lookup(report, "linestats.accesses").c_str(),
-      lookup(report, "linestats.lines_tracked").c_str());
+      path.c_str(), lookup(report, "lines.protocol").c_str(),
+      lookup(report, "lines.streams").c_str(),
+      lookup(report, "lines.accesses").c_str(),
+      lookup(report, "lines.lines_tracked").c_str());
 
   hsw::Table patterns({"sharing pattern", "lines"});
   for (const char* name : {"private", "read_shared", "migratory", "ping_pong",
                            "false_shared", "mixed"}) {
     patterns.add_row(
-        {name, lookup(report, std::string("linestats.patterns.") + name)});
+        {name, lookup(report, std::string("lines.patterns.") + name)});
   }
   std::printf("%s\n", patterns.to_string().c_str());
 
   hsw::Table residency({"state", "L3 residency ns"});
   for (const char* state : {"I", "S", "F", "E", "M", "O"}) {
     residency.add_row(
-        {state, lookup(report, std::string("linestats.residency_ns.") + state)});
+        {state, lookup(report, std::string("lines.residency_ns.") + state)});
   }
   std::printf("%s\n", residency.to_string().c_str());
 
   hsw::Table top({"line", "stream", "pattern", "cores", "reads", "writes",
                   "inval", "fwd", "upd", "contention"});
-  for (int i = 0;; ++i) {
-    const std::string prefix =
-        "linestats.top_lines." + std::to_string(i) + ".";
-    const std::string line = lookup(report, prefix + "line");
-    if (line.empty()) break;
-    top.add_row({line, lookup(report, prefix + "stream"),
-                 lookup(report, prefix + "pattern"),
-                 lookup(report, prefix + "cores"),
-                 lookup(report, prefix + "reads"),
-                 lookup(report, prefix + "writes"),
-                 lookup(report, prefix + "invalidations"),
-                 lookup(report, prefix + "forwards"),
-                 lookup(report, prefix + "updates"),
-                 lookup(report, prefix + "contention")});
+  for (std::vector<std::string>& row : array_rows(
+           report, "lines.top_lines",
+           {"line", "stream", "pattern", "cores", "reads", "writes",
+            "invalidations", "forwards", "updates", "contention"})) {
+    top.add_row(std::move(row));
   }
   std::printf("top contended lines (by invalidations + forwards)\n%s\n",
               top.to_string().c_str());
@@ -236,11 +214,11 @@ int lines_view(const FlatReport& report, const std::string& path) {
 // cell of the transition matrix.  Keys sort lexicographically — stable
 // across runs, so the output diffs cleanly.
 int transitions_view(const FlatReport& report, const std::string& path) {
-  if (require_linestats(report, path) != 0) return 1;
+  if (require_section(report, path, "lines") != 0) return 1;
   std::printf("state transitions %s (protocol %s)\n", path.c_str(),
-              lookup(report, "linestats.protocol").c_str());
+              lookup(report, "lines.protocol").c_str());
   hsw::Table table({"level", "from", "op", "to", "count"});
-  const std::string prefix = "linestats.transitions.";
+  const std::string prefix = "lines.transitions.";
   for (const auto& [key, value] : report) {
     if (!key.starts_with(prefix)) continue;
     // Key tail: LEVEL.FROM.OP.TO (e.g. "L3.M.SnoopRead.S").
@@ -260,18 +238,18 @@ int transitions_view(const FlatReport& report, const std::string& path) {
 }
 
 int show(const FlatReport& report, const std::string& path) {
-  std::printf("metrics report %s (version %s)\n", path.c_str(),
-              version_of(report).c_str());
+  std::printf("report %s (version %s)\n", path.c_str(),
+              lookup(report, "hswsim_report_version").c_str());
 
-  // Which optional sections this file carries, so the reader knows which
-  // views (lines / transitions / bottlenecks) will have data.
-  const bool metrics = !lookup(report, "hswsim_metrics_version").empty();
+  // Which sections this file carries, so the reader knows which views will
+  // have data.
   hsw::Table sections({"section", "present", "view"});
-  sections.add_row({"metrics", metrics ? "yes" : "no", "show"});
-  sections.add_row({"linestats", has_linestats(report) ? "yes" : "no",
-                    "lines, transitions"});
-  sections.add_row({"resources", has_resources(report) ? "yes" : "no",
-                    "bottlenecks"});
+  for (const auto& [section, view] :
+       {std::pair{"metrics", "show"}, std::pair{"lines", "lines, transitions"},
+        std::pair{"resources", "bottlenecks"}}) {
+    sections.add_row(
+        {section, has_section(report, section) ? "yes" : "no", view});
+  }
   std::printf("%s\n", sections.to_string().c_str());
 
   hsw::Table manifest({"manifest", "value"});
@@ -280,18 +258,19 @@ int show(const FlatReport& report, const std::string& path) {
       manifest.add_row({key.substr(sizeof("manifest.") - 1), value});
     }
   }
-  manifest.add_row({"accesses", lookup(report, "accesses")});
-  manifest.add_row({"streams", lookup(report, "streams")});
+  manifest.add_row({"accesses", lookup(report, "metrics.accesses")});
+  manifest.add_row({"streams", lookup(report, "metrics.streams")});
   std::printf("%s\n", manifest.to_string().c_str());
 
   hsw::Table counters({"counter", "value"});
   for (const auto& [key, value] : report) {
-    const bool counter_like = key.starts_with("counters.") ||
-                              key.starts_with("engine_counters.") ||
-                              key.starts_with("meters.") ||
-                              key.starts_with("gauges.");
+    if (!key.starts_with("metrics.")) continue;
+    const std::string name = key.substr(sizeof("metrics.") - 1);
+    const bool counter_like =
+        name.starts_with("counters.") || name.starts_with("engine_counters.") ||
+        name.starts_with("meters.") || name.starts_with("gauges.");
     if (counter_like && value != "0" && value != "0.000000") {
-      counters.add_row({key, value});
+      counters.add_row({name, value});
     }
   }
   std::printf("nonzero counters, meters, and final gauges\n%s\n",
@@ -302,23 +281,20 @@ int show(const FlatReport& report, const std::string& path) {
 int diff(const FlatReport& a, const FlatReport& b, const std::string& path_a,
          const std::string& path_b, const hsw::check::GoldenTolerance& tol,
          bool force) {
-  if (version_of(a) != version_of(b)) {
-    std::fprintf(stderr, "hswsim-report: version mismatch (%s vs %s)\n",
-                 version_of(a).c_str(), version_of(b).c_str());
-    return 1;
-  }
-  if (protocol_of(a) != protocol_of(b)) {
+  const std::string protocol_a = lookup(a, "manifest.protocol");
+  const std::string protocol_b = lookup(b, "manifest.protocol");
+  if (protocol_a != protocol_b) {
     if (!force) {
       std::fprintf(stderr,
                    "hswsim-report: refusing to diff across coherence "
                    "protocols (%s ran %s, %s ran %s); the engine counters "
                    "are not comparable — pass --force to diff anyway\n",
-                   path_a.c_str(), protocol_of(a).c_str(), path_b.c_str(),
-                   protocol_of(b).c_str());
+                   path_a.c_str(), protocol_a.c_str(), path_b.c_str(),
+                   protocol_b.c_str());
       return 1;
     }
     std::printf("note: cross-protocol diff forced (%s vs %s)\n",
-                protocol_of(a).c_str(), protocol_of(b).c_str());
+                protocol_a.c_str(), protocol_b.c_str());
   }
 
   std::vector<std::string> keys;
@@ -366,7 +342,8 @@ int diff(const FlatReport& a, const FlatReport& b, const std::string& path_a,
 
 int main(int argc, char** argv) {
   hsw::CommandLine cli(
-      "inspect (show) or tolerance-diff (diff) hswsim --metrics reports");
+      "inspect (show, lines, transitions, bottlenecks) or tolerance-diff "
+      "(diff) hswsim --report documents");
   hsw::check::GoldenTolerance tol;
   bool force = false;
   cli.add_double("rel", &tol.rel, "relative tolerance for numeric values");
@@ -384,25 +361,17 @@ int main(int argc, char** argv) {
   const std::vector<std::string>& pos = cli.positional();
   if (pos.empty()) return usage();
 
-  if (pos[0] == "show" && pos.size() == 2) {
+  using View = int (*)(const FlatReport&, const std::string&);
+  const std::pair<const char*, View> views[] = {
+      {"show", show},
+      {"lines", lines_view},
+      {"transitions", transitions_view},
+      {"bottlenecks", bottlenecks_view}};
+  for (const auto& [name, view] : views) {
+    if (pos[0] != name || pos.size() != 2) continue;
     FlatReport report;
     if (load(pos[1], &report) != 0) return 1;
-    return show(report, pos[1]);
-  }
-  if (pos[0] == "lines" && pos.size() == 2) {
-    FlatReport report;
-    if (load(pos[1], &report) != 0) return 1;
-    return lines_view(report, pos[1]);
-  }
-  if (pos[0] == "transitions" && pos.size() == 2) {
-    FlatReport report;
-    if (load(pos[1], &report) != 0) return 1;
-    return transitions_view(report, pos[1]);
-  }
-  if (pos[0] == "bottlenecks" && pos.size() == 2) {
-    FlatReport report;
-    if (load(pos[1], &report) != 0) return 1;
-    return bottlenecks_view(report, pos[1]);
+    return view(report, pos[1]);
   }
   if (pos[0] == "diff" && pos.size() == 3) {
     FlatReport a;

@@ -2,27 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdarg>
-#include <cstdio>
-#include <numeric>
 
-#include "metrics/report.h"
+#include "util/json.h"
 
 namespace hsw::obs {
 namespace {
 
-// Same fixed float discipline as metrics::write_report: %.6f everywhere a
-// double reaches the report, so bytes never depend on locale or platform.
-void appendf(std::string& out, const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
+using json::appendf;
 
-void append_residency(std::string& out, const char* indent,
+void append_residency(std::string& out,
                       const std::array<double, protocol::kStateCount>& ns) {
   appendf(out, "\"residency_ns\": {");
   for (std::size_t s = 0; s < protocol::kStateCount; ++s) {
@@ -30,7 +18,6 @@ void append_residency(std::string& out, const char* indent,
             std::string(to_string(static_cast<Mesif>(s))).c_str(), ns[s]);
   }
   appendf(out, "}");
-  (void)indent;
 }
 
 }  // namespace
@@ -177,35 +164,14 @@ void LineStatsRecorder::finalize() {
   l3_residency_.clear();
 }
 
-void LineStatsHub::absorb(LineStatsRecorder&& recorder) {
-  recorder.finalize();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  recorders_.push_back(std::move(recorder));
-}
-
-std::size_t LineStatsHub::stream_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return recorders_.size();
-}
-
-MergedLineStats LineStatsHub::merged() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+MergedLineStats merge_streams(
+    std::span<const LineStatsRecorder* const> in_stream_order) {
   MergedLineStats m;
-  m.streams = recorders_.size();
-  if (recorders_.empty()) return m;
-
-  // Fold in stream-id order, not absorb order: workers finish sweeps in
-  // scheduling order, and the merged report must not care.
-  std::vector<std::size_t> order(recorders_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return recorders_[a].stream() < recorders_[b].stream();
-                   });
-
-  for (const std::size_t i : order) {
-    const LineStatsRecorder& r = recorders_[i];
-    if (i == order.front()) m.protocol = r.protocol();
+  m.streams = in_stream_order.size();
+  if (in_stream_order.empty()) return m;
+  m.protocol = in_stream_order.front()->protocol();
+  for (const LineStatsRecorder* recorder : in_stream_order) {
+    const LineStatsRecorder& r = *recorder;
     m.accesses += r.accesses();
     for (std::size_t c = 0; c < LineStatsRecorder::kTransitionCells; ++c) {
       m.transitions[c] += r.transitions_[c];
@@ -238,8 +204,7 @@ MergedLineStats LineStatsHub::merged() const {
 std::string render_linestats_section(const MergedLineStats& m) {
   std::string out;
   out.reserve(4096);
-  appendf(out, "  \"linestats\": {\n");
-  appendf(out, "    \"hswsim_linestats_version\": %d,\n", kLineStatsVersion);
+  appendf(out, "  \"lines\": {\n");
   appendf(out, "    \"protocol\": \"%s\",\n",
           std::string(hsw::to_string(m.protocol)).c_str());
   appendf(out, "    \"streams\": %zu,\n", m.streams);
@@ -257,7 +222,7 @@ std::string render_linestats_section(const MergedLineStats& m) {
   appendf(out, "},\n");
 
   appendf(out, "    ");
-  append_residency(out, "    ", m.residency_ns);
+  append_residency(out, m.residency_ns);
   appendf(out, ",\n");
 
   // Only nonzero cells: the full matrix is 3 x 6 x 8 x 6 and almost all of
@@ -304,34 +269,12 @@ std::string render_linestats_section(const MergedLineStats& m) {
             static_cast<unsigned long long>(t.record.forwards),
             static_cast<unsigned long long>(t.record.updates),
             static_cast<unsigned long long>(t.record.contention()));
-    append_residency(out, "       ", t.record.residency_ns);
+    append_residency(out, t.record.residency_ns);
     appendf(out, "}");
   }
   appendf(out, "%s]\n", m.top_lines.empty() ? "" : "\n    ");
   appendf(out, "  }");
   return out;
-}
-
-bool write_linestats_report(const std::string& path,
-                            const metrics::ReportManifest& manifest,
-                            const MergedLineStats& m) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "linestats report: cannot open '%s' for writing\n",
-                 path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"hswsim_linestats_version\": %d,\n",
-               kLineStatsVersion);
-  std::fprintf(f, "%s,\n", metrics::render_manifest(manifest).c_str());
-  std::fprintf(f, "%s\n}\n", render_linestats_section(m).c_str());
-  const bool io_error = std::ferror(f) != 0;
-  if (std::fclose(f) != 0 || io_error) {
-    std::fprintf(stderr, "linestats report: write to '%s' failed\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace hsw::obs

@@ -33,32 +33,24 @@
 // set_now() with its event-queue timestamps, so residency reflects the
 // interleaved schedule.
 //
-// LineStatsHub is the cross-point merger (the obs counterpart of
-// trace::TraceSink / metrics::MetricsHub): sweep workers absorb finished
-// per-point recorders from any thread and merged() folds them in stream-id
-// order, so reports are byte-identical for any --jobs value.
+// LineStatsHub is the generic StreamHub (util/stream_hub.h) over these
+// recorders; merge_streams() below is its stream-order fold, so reports are
+// byte-identical for any --jobs value.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "coh/protocol.h"
 #include "mem/address.h"
 #include "mem/line.h"
-
-namespace hsw::metrics {
-struct ReportManifest;
-}  // namespace hsw::metrics
+#include "util/stream_hub.h"
 
 namespace hsw::obs {
-
-// Schema version of the "linestats" report section (standalone --linestats
-// files and the section embedded in --metrics reports share it).
-inline constexpr int kLineStatsVersion = 1;
 
 // Lines kept in MergedLineStats::top_lines, ranked by contention.
 inline constexpr std::size_t kTopLines = 16;
@@ -146,6 +138,8 @@ struct LineRecord {
 // episode; classifying a live record undercounts the final episode).
 [[nodiscard]] SharingPattern classify(const LineRecord& record);
 
+struct MergedLineStats;
+
 // Per-measured-section recorder.  Single-threaded like the engine that
 // feeds it; `stream` orders recorders in the hub merge exactly like tracer
 // streams (derived from configuration, never from scheduling).
@@ -172,7 +166,7 @@ class LineStatsRecorder {
                      LineOp op, Mesif to);
 
   // Closes open episodes and open residency intervals at the current clock.
-  // Idempotent; System::detach_linestats and LineStatsHub::absorb call it.
+  // Idempotent; System::detach_linestats and StreamHub::absorb call it.
   void finalize();
 
   [[nodiscard]] Protocol protocol() const { return protocol_; }
@@ -201,7 +195,8 @@ class LineStatsRecorder {
       protocol::kStateCount;
 
  private:
-  friend class LineStatsHub;
+  friend MergedLineStats merge_streams(
+      std::span<const LineStatsRecorder* const> in_stream_order);
 
   void close_episode(LineRecord& record, bool handoff);
 
@@ -249,33 +244,17 @@ struct MergedLineStats {
   }
 };
 
-// Deterministic multi-stream merge (the obs counterpart of
-// metrics::MetricsHub).  absorb() finalizes the recorder; merged() folds
-// recorders in stream-id order, so the report bytes never depend on worker
-// scheduling.
-class LineStatsHub {
- public:
-  void absorb(LineStatsRecorder&& recorder);
+// Folds finalized recorders in stream-id order (the LineStatsHub merge).
+[[nodiscard]] MergedLineStats merge_streams(
+    std::span<const LineStatsRecorder* const> in_stream_order);
 
-  [[nodiscard]] MergedLineStats merged() const;
-  [[nodiscard]] std::size_t stream_count() const;
+using LineStatsHub = StreamHub<LineStatsRecorder>;
 
- private:
-  mutable std::mutex mutex_;
-  std::vector<LineStatsRecorder> recorders_;
-};
-
-// Renders the versioned `"linestats": {...}` JSON section (two-space base
-// indent, no trailing comma/newline): nonzero transition cells keyed
+// Renders the `"lines": {...}` report section (two-space base indent, no
+// trailing comma/newline): nonzero transition cells keyed
 // "<from>.<op>.<to>" per level, the pattern census, aggregate residency,
 // and the top-N contended lines.  Fixed field order and %.6f floats — the
-// same byte-determinism discipline as metrics::write_report.
+// same byte-determinism discipline as every report section.
 [[nodiscard]] std::string render_linestats_section(const MergedLineStats& m);
-
-// Writes a standalone --linestats report: {version, manifest, linestats}.
-// False (with a stderr message) when the file cannot be written.
-[[nodiscard]] bool write_linestats_report(
-    const std::string& path, const metrics::ReportManifest& manifest,
-    const MergedLineStats& m);
 
 }  // namespace hsw::obs

@@ -1,27 +1,12 @@
 #include "obs/resource_stats.h"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
-#include <numeric>
 
-#include "metrics/report.h"
+#include "util/json.h"
 
 namespace hsw::obs {
-namespace {
 
-// Same fixed float discipline as metrics::write_report: %.6f everywhere a
-// double reaches the report, so bytes never depend on locale or platform.
-void appendf(std::string& out, const char* format, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, format);
-  const int n = std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  if (n > 0) out.append(buf, std::min(static_cast<std::size_t>(n), sizeof buf - 1));
-}
-
-}  // namespace
+using json::appendf;
 
 void ResourceStatsRecorder::bind(std::vector<std::string> names,
                                  std::vector<double> capacities_gbps) {
@@ -96,34 +81,12 @@ void ResourceStatsRecorder::finalize(double now_ns) {
   elapsed_ns_ = end;
 }
 
-void ResourceStatsHub::absorb(ResourceStatsRecorder&& recorder) {
-  recorder.finalize();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  recorders_.push_back(std::move(recorder));
-}
-
-std::size_t ResourceStatsHub::stream_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return recorders_.size();
-}
-
-MergedResourceStats ResourceStatsHub::merged() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+MergedResourceStats merge_streams(
+    std::span<const ResourceStatsRecorder* const> in_stream_order) {
   MergedResourceStats m;
-  m.streams = recorders_.size();
-  if (recorders_.empty()) return m;
-
-  // Fold in stream-id order, not absorb order: workers finish sweep points
-  // in scheduling order, and the merged report must not care.
-  std::vector<std::size_t> order(recorders_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return recorders_[a].stream() < recorders_[b].stream();
-                   });
-
-  for (const std::size_t i : order) {
-    const ResourceStatsRecorder& r = recorders_[i];
+  m.streams = in_stream_order.size();
+  for (const ResourceStatsRecorder* recorder : in_stream_order) {
+    const ResourceStatsRecorder& r = *recorder;
     if (m.names.empty() && r.bound()) {
       m.names = r.names();
       m.capacities_gbps = r.capacities_gbps();
@@ -153,8 +116,6 @@ std::string render_resources_section(const MergedResourceStats& m) {
   std::string out;
   out.reserve(4096);
   appendf(out, "  \"resources\": {\n");
-  appendf(out, "    \"hswsim_resources_version\": %d,\n",
-          kResourceStatsVersion);
   appendf(out, "    \"streams\": %zu,\n", m.streams);
   appendf(out, "    \"elapsed_ns\": %.6f,\n", m.elapsed_ns);
   appendf(out, "    \"items\": [");
@@ -199,35 +160,6 @@ std::string render_resources_section(const MergedResourceStats& m) {
   appendf(out, "%s]\n", m.usage.empty() ? "" : "\n    ");
   appendf(out, "  }");
   return out;
-}
-
-bool write_resources_report(const std::string& path,
-                            const metrics::ReportManifest& manifest,
-                            const MergedResourceStats& m) {
-  if (m.streams == 0) {
-    std::fprintf(stderr,
-                 "note: resources report '%s' has no samples — per-resource "
-                 "telemetry is recorded by the simulated engine only (run "
-                 "with --engine simulated)\n",
-                 path.c_str());
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "resources report: cannot open '%s' for writing\n",
-                 path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"hswsim_resources_version\": %d,\n",
-               kResourceStatsVersion);
-  std::fprintf(f, "%s,\n", metrics::render_manifest(manifest).c_str());
-  std::fprintf(f, "%s\n}\n", render_resources_section(m).c_str());
-  const bool io_error = std::ferror(f) != 0;
-  if (std::fclose(f) != 0 || io_error) {
-    std::fprintf(stderr, "resources report: write to '%s' failed\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
 }
 
 }  // namespace hsw::obs

@@ -31,30 +31,21 @@
 // boundary term otherwise; the unit tests assert it as an invariant, which
 // pins the accounting against sign/window bugs.
 //
-// ResourceStatsHub is the cross-point merger (the counterpart of
-// metrics::MetricsHub / obs::LineStatsHub): workers absorb finished
-// per-stream recorders from any thread and merged() folds them in
-// stream-id order, so the "resources" report section is byte-identical for
-// any --jobs value.
+// ResourceStatsHub is the generic StreamHub (util/stream_hub.h) over these
+// recorders; merge_streams() below is its stream-order fold, so the
+// "resources" report section is byte-identical for any --jobs value.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "util/stats.h"
-
-namespace hsw::metrics {
-struct ReportManifest;
-}  // namespace hsw::metrics
+#include "util/stream_hub.h"
 
 namespace hsw::obs {
-
-// Schema version of the "resources" report section (standalone --resstats
-// files and the section embedded in --metrics reports share it).
-inline constexpr int kResourceStatsVersion = 1;
 
 // Retained points per resource in the event-boundary depth time series.
 // When a run produces more depth-change events than this, every other
@@ -130,7 +121,6 @@ class ResourceStatsRecorder {
   void finalize() { finalize(last_ns_); }
 
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
-  [[nodiscard]] bool finalized() const { return finalized_; }
   // Observation window length (0 until finalize).
   [[nodiscard]] double elapsed_ns() const { return elapsed_ns_; }
   [[nodiscard]] const std::vector<std::string>& names() const {
@@ -144,8 +134,6 @@ class ResourceStatsRecorder {
   }
 
  private:
-  friend class ResourceStatsHub;
-
   // Settles the depth integral of `u` up to `now`, retiring any departures
   // that happened first (each one is a depth boundary of its own).
   void settle(ResourceUsage& u, double now);
@@ -196,34 +184,18 @@ struct MergedResourceStats {
   }
 };
 
-// Deterministic multi-stream merge.  absorb() finalizes the recorder (at
-// its latest event) if the engine has not already; merged() folds in
-// stream-id order, so report bytes never depend on worker scheduling.
-class ResourceStatsHub {
- public:
-  void absorb(ResourceStatsRecorder&& recorder);
+// Folds finalized recorders in stream-id order (the ResourceStatsHub
+// merge).
+[[nodiscard]] MergedResourceStats merge_streams(
+    std::span<const ResourceStatsRecorder* const> in_stream_order);
 
-  [[nodiscard]] MergedResourceStats merged() const;
-  [[nodiscard]] std::size_t stream_count() const;
+using ResourceStatsHub = StreamHub<ResourceStatsRecorder>;
 
- private:
-  mutable std::mutex mutex_;
-  std::vector<ResourceStatsRecorder> recorders_;
-};
-
-// Renders the versioned `"resources": {...}` JSON section (two-space base
-// indent, no trailing comma/newline): one item per resource in index
-// order, fixed field order, %.6f floats — the same byte-determinism
-// discipline as metrics::write_report.
+// Renders the `"resources": {...}` report section (two-space base indent,
+// no trailing comma/newline): one item per resource in index order, fixed
+// field order, %.6f floats — the same byte-determinism discipline as every
+// report section.
 [[nodiscard]] std::string render_resources_section(
-    const MergedResourceStats& m);
-
-// Writes a standalone --resstats report: {version, manifest, resources}.
-// False (with a stderr message) when the file cannot be written.  A merge
-// with zero streams gets a stderr note (the run never fed a recorder —
-// typically an analytic-engine run) but still writes a valid report.
-[[nodiscard]] bool write_resources_report(
-    const std::string& path, const metrics::ReportManifest& manifest,
     const MergedResourceStats& m);
 
 }  // namespace hsw::obs

@@ -120,43 +120,24 @@ double emit_spans(JsonWriter& w, const std::vector<Span>& spans, double t,
 
 }  // namespace
 
-void TraceSink::absorb(Tracer&& tracer) {
-  std::deque<TraceRecord> records = tracer.take_records();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  dropped_ += tracer.dropped();
-  records_.insert(records_.end(), std::make_move_iterator(records.begin()),
-                  std::make_move_iterator(records.end()));
+MergedTrace merge_streams(std::span<const Tracer* const> in_stream_order) {
+  MergedTrace out;
+  for (const Tracer* tracer : in_stream_order) {
+    // Each buffer is already seq-ordered (the cap drops the oldest).
+    out.records.insert(out.records.end(), tracer->records().begin(),
+                       tracer->records().end());
+    out.dropped += tracer->dropped();
+  }
+  return out;
 }
 
-std::vector<TraceRecord> TraceSink::merged() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceRecord> sorted = records_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const TraceRecord& a, const TraceRecord& b) {
-              if (a.stream != b.stream) return a.stream < b.stream;
-              return a.seq < b.seq;
-            });
-  return sorted;
-}
-
-std::uint64_t TraceSink::dropped() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
-std::size_t TraceSink::record_count() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size();
-}
-
-bool TraceSink::write_chrome_json(const std::string& path) const {
+bool write_chrome_json(const std::string& path,
+                       const std::vector<TraceRecord>& records) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
     return false;
   }
-  const std::vector<TraceRecord> records = merged();
-
   std::fprintf(f, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
   JsonWriter w{f};
 
@@ -189,7 +170,8 @@ bool TraceSink::write_chrome_json(const std::string& path) const {
   return true;
 }
 
-bool TraceSink::write_csv(const std::string& path) const {
+bool write_csv(const std::string& path,
+               const std::vector<TraceRecord>& records) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "trace: cannot write %s\n", path.c_str());
@@ -251,7 +233,6 @@ bool TraceSink::write_csv(const std::string& path) const {
     }
   };
 
-  const std::vector<TraceRecord> records = merged();
   for (const TraceRecord& r : records) {
     Row row{f, &r};
     row.emit(r.spans, 0.0, 0, true);
@@ -260,11 +241,12 @@ bool TraceSink::write_csv(const std::string& path) const {
   return true;
 }
 
-bool TraceSink::write(const std::string& path) const {
+bool write_trace(const std::string& path,
+                 const std::vector<TraceRecord>& records) {
   if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
-    return write_csv(path);
+    return write_csv(path, records);
   }
-  return write_chrome_json(path);
+  return write_chrome_json(path, records);
 }
 
 }  // namespace hsw::trace

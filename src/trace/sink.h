@@ -1,11 +1,12 @@
 // Trace collection and export.
 //
-// A TraceSink absorbs the bounded record buffers of many Tracers (one per
-// sweep point / System, each with its own deterministically assigned stream
-// id) and merges them into a stable order keyed by (stream, seq).  Worker
-// threads may absorb in any order — the merge sorts, so the exported bytes
-// are identical for any `--jobs` value (asserted by the trace_determinism
-// CTest).
+// TraceHub is the generic StreamHub (util/stream_hub.h) over Tracers: one
+// per sweep point / System, each with its own deterministically assigned
+// stream id.  Worker threads may absorb in any order; merge_streams()
+// concatenates the tracers' bounded record buffers in stream order, so the
+// merged records are sorted by (stream, seq) and the exported bytes are
+// identical for any `--jobs` value (asserted by the trace determinism
+// CTests).
 //
 // Exporters:
 //   * write_chrome_json — Chrome-trace/Perfetto JSON ("traceEvents").  Open
@@ -13,39 +14,37 @@
 //     protocol path on track 0 and each racing leg on its own track.  The
 //     viewer's microsecond is one simulated nanosecond.
 //   * write_csv — one row per span for scripted analysis.
-//   * write — dispatches on the file extension (.csv -> CSV, else JSON).
+//   * write_trace — dispatches on the file extension (.csv -> CSV, else
+//     JSON).
+// All return false (with a message on stderr) if the file cannot be
+// written.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "trace/tracer.h"
+#include "util/stream_hub.h"
 
 namespace hsw::trace {
 
-class TraceSink {
- public:
-  // Moves `tracer`'s retained records into the sink (thread-safe).
-  void absorb(Tracer&& tracer);
-
-  // All absorbed records sorted by (stream, seq).
-  [[nodiscard]] std::vector<TraceRecord> merged() const;
-
-  [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::size_t record_count() const;
-
-  // Both return false (with a message on stderr) if the file cannot be
-  // written.
-  bool write_chrome_json(const std::string& path) const;
-  bool write_csv(const std::string& path) const;
-  bool write(const std::string& path) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<TraceRecord> records_;
-  std::uint64_t dropped_ = 0;
+struct MergedTrace {
+  std::vector<TraceRecord> records;  // sorted by (stream, seq)
+  std::uint64_t dropped = 0;         // records the per-stream caps evicted
 };
+
+[[nodiscard]] MergedTrace merge_streams(
+    std::span<const Tracer* const> in_stream_order);
+
+using TraceHub = StreamHub<Tracer>;
+
+bool write_chrome_json(const std::string& path,
+                       const std::vector<TraceRecord>& records);
+bool write_csv(const std::string& path,
+               const std::vector<TraceRecord>& records);
+bool write_trace(const std::string& path,
+                 const std::vector<TraceRecord>& records);
 
 }  // namespace hsw::trace

@@ -117,8 +117,4 @@ const AccessAttribution* Tracer::end_access(double ns, const char* source) {
   return &attribution_;
 }
 
-std::deque<TraceRecord> Tracer::take_records() {
-  return std::exchange(records_, {});
-}
-
 }  // namespace hsw::trace

@@ -10,8 +10,8 @@
 //
 // Finished records land in a bounded per-tracer buffer (oldest records are
 // dropped first once `capacity` is reached — deterministically, since each
-// stream's record sequence does not depend on scheduling).  A TraceSink
-// (sink.h) later absorbs the buffers of many tracers and merges them by
+// stream's record sequence does not depend on scheduling).  A TraceHub
+// (sink.h) later absorbs many tracers and merges their buffers by
 // (stream, seq) into a stable order.
 //
 // Modes:
@@ -60,12 +60,7 @@ class Tracer {
   // pointer stays valid until the next begin_access on this tracer.
   const AccessAttribution* end_access(double ns, const char* source);
 
-  [[nodiscard]] bool recording() const { return recording_; }
-
   // --- results ---------------------------------------------------------------
-  [[nodiscard]] const AccessAttribution& last_attribution() const {
-    return attribution_;
-  }
   // kFull only; nullptr if nothing recorded yet.
   [[nodiscard]] const TraceRecord* last_record() const {
     return records_.empty() ? nullptr : &records_.back();
@@ -75,10 +70,6 @@ class Tracer {
   }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
-  [[nodiscard]] Mode mode() const { return mode_; }
-
-  // Moves the retained records out (used by TraceSink::absorb).
-  std::deque<TraceRecord> take_records();
 
  private:
   // Returns the span list currently receiving emissions.

@@ -1,7 +1,9 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <cstdarg>
 #include <cstddef>
+#include <cstdio>
 #include <utility>
 
 namespace hsw::json {
@@ -135,6 +137,30 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
+}
+
+void appendf(std::string& out, const char* format, ...) {
+  char buf[256];
+  va_list args;
+  va_start(args, format);
+  va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(buf, sizeof buf, format, args);
+  va_end(args);
+  if (n < 0) {
+    va_end(again);
+    return;
+  }
+  if (static_cast<std::size_t>(n) < sizeof buf) {
+    out.append(buf, static_cast<std::size_t>(n));
+  } else {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, format,
+                   again);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(again);
 }
 
 }  // namespace hsw::json

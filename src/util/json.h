@@ -23,4 +23,9 @@ namespace hsw::json {
 // (quotes, backslashes, newlines, tabs).
 [[nodiscard]] std::string escape(const std::string& s);
 
+// printf-style append for the report renderers.  Callers format every
+// double with a fixed %.6f, so the bytes never depend on locale or platform.
+void appendf(std::string& out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
+
 }  // namespace hsw::json

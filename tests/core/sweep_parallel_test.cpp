@@ -77,9 +77,28 @@ TEST(ParallelSweep, PointFunctionMatchesTheFullSweep) {
   LatencySweepConfig config = latency_config();
   config.jobs = 1;
   const auto points = latency_sweep(config);
-  const auto lone = latency_sweep_point(config, config.sizes[2]);
+  const auto lone = latency_sweep_point(config, 2);
   EXPECT_EQ(lone.bytes, points[2].bytes);
   EXPECT_EQ(lone.result.mean_ns, points[2].result.mean_ns);
+}
+
+// Stream ids come from a point's index, not its size: a repeated size gets
+// its own id, so the merged report (double meters included) cannot depend
+// on which worker finished first.
+TEST(ParallelSweep, DuplicatedSizeMetricsReportBitIdenticalAcrossJobCounts) {
+  const auto report = [](unsigned jobs) {
+    LatencySweepConfig config = latency_config();
+    config.sizes = {kib(64), kib(32), kib(64), kib(64)};
+    config.jobs = jobs;
+    ObserverHubs hubs;
+    config.trace.observe.metrics = true;
+    config.trace.hubs = &hubs;
+    (void)latency_sweep(config);
+    const metrics::MergedMetrics merged = hubs.metrics.merged();
+    EXPECT_EQ(merged.streams, config.sizes.size());
+    return metrics::render_metrics_section(merged);
+  };
+  EXPECT_EQ(report(1), report(4));
 }
 
 TEST(ParallelSweep, RejectsAnExplicitPlacementLevel) {

@@ -1,6 +1,8 @@
 # Asserts hswsim-report fails loudly (exit code exactly 1, with a message
-# naming the problem) on the three broken-input classes: a missing file,
-# malformed JSON, and a report with an unrecognized schema version.  Exit
+# naming the problem) on the broken-input classes: a missing file,
+# malformed JSON, a report with an unrecognized schema version (a future
+# one, or one of the retired version-1 single-observer reports, named by
+# the version key found), and a view whose section the report lacks.  Exit
 # code 2 is reserved for usage errors, so each case checks for 1 precisely.
 #
 # Usage: cmake -DREPORT=<hswsim-report-binary> -DOUT_DIR=<dir>
@@ -36,16 +38,40 @@ expect_rc1("missing file" "cannot read"
   "${REPORT}" show "${OUT_DIR}/does_not_exist.json")
 
 # 2. Malformed JSON (truncated mid-object).
-file(WRITE "${OUT_DIR}/malformed.json" "{\n  \"hswsim_metrics_version\": 1,\n  \"manifest\": {\"tool\"")
+file(WRITE "${OUT_DIR}/malformed.json" "{\n  \"hswsim_report_version\": 2,\n  \"manifest\": {\"tool\"")
 expect_rc1("malformed JSON" "not a valid report"
   "${REPORT}" show "${OUT_DIR}/malformed.json")
 
 # 3. Valid JSON, unknown schema version.
-file(WRITE "${OUT_DIR}/future.json" "{\n  \"hswsim_metrics_version\": 999,\n  \"manifest\": {\"tool\": \"test\"}\n}\n")
-expect_rc1("unknown version" "unknown report version"
+file(WRITE "${OUT_DIR}/future.json" "{\n  \"hswsim_report_version\": 999,\n  \"manifest\": {\"tool\": \"test\"}\n}\n")
+expect_rc1("unknown version" "unknown report version \\(found hswsim_report_version 999"
   "${REPORT}" show "${OUT_DIR}/future.json")
 
-# The same three classes through the diff entry point (good file first).
-file(WRITE "${OUT_DIR}/future2.json" "{\n  \"hswsim_linestats_version\": 999\n}\n")
-expect_rc1("diff with unknown version" "unknown report version"
-  "${REPORT}" diff "${OUT_DIR}/future.json" "${OUT_DIR}/future2.json")
+# 4. The retired version-1 reports: the --metrics document and the
+#    standalone --linestats / --resstats files, through every view.
+foreach(kind metrics linestats resources)
+  file(WRITE "${OUT_DIR}/v1_${kind}.json"
+    "{\n  \"hswsim_${kind}_version\": 1,\n  \"manifest\": {\"tool\": \"test\"}\n}\n")
+  foreach(view show lines transitions bottlenecks)
+    expect_rc1("version-1 ${kind} report (${view})"
+      "unknown report version \\(found hswsim_${kind}_version 1"
+      "${REPORT}" ${view} "${OUT_DIR}/v1_${kind}.json")
+  endforeach()
+endforeach()
+
+# 5. A valid document without the section a view needs.
+file(WRITE "${OUT_DIR}/metrics_only.json"
+  "{\n  \"hswsim_report_version\": 2,\n  \"manifest\": {\"tool\": \"test\"},\n  \"metrics\": {\"accesses\": 0}\n}\n")
+foreach(view_section lines:lines transitions:lines bottlenecks:resources)
+  string(REPLACE ":" ";" pair "${view_section}")
+  list(GET pair 0 view)
+  list(GET pair 1 section)
+  expect_rc1("${view} without a ${section} section"
+    "no ${section} section; rerun with --observe ${section}"
+    "${REPORT}" ${view} "${OUT_DIR}/metrics_only.json")
+endforeach()
+
+# An unknown version through the diff entry point (a good file first).
+expect_rc1("diff with unknown version"
+  "unknown report version \\(found hswsim_linestats_version 1"
+  "${REPORT}" diff "${OUT_DIR}/metrics_only.json" "${OUT_DIR}/v1_linestats.json")

@@ -1,11 +1,10 @@
-// MetricsRegistry / MetricsHub unit tests: hot-path semantics, family
-// auto-sizing, sampling cadence, and — the property the jobs-determinism
-// CTests rely on — absorb-order independence of the merged result.
+// MetricsRegistry unit tests: hot-path semantics, family auto-sizing, and
+// sampling cadence.  The hub merge (absorb-order independence, the
+// (stream, seq) sample order) is covered by tests/obs/stream_hub_test.cpp.
 #include <gtest/gtest.h>
 
 #include <utility>
 
-#include "metrics/hub.h"
 #include "metrics/registry.h"
 
 namespace hsw::metrics {
@@ -81,56 +80,6 @@ TEST(MetricsRegistry, SamplerFiresOnIntervalAndNeverForZero) {
   }
   exact.take_final_sample();
   EXPECT_EQ(exact.samples().size(), 1u);
-}
-
-MetricsRegistry make_registry(std::uint32_t stream) {
-  MetricsRegistry reg(stream, 2);
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    reg.bump(MCtr::kImcPageHit, stream + 1);
-    reg.meter(MMeter::kRingHops, 0.25 * static_cast<double>(stream + 1));
-    reg.bump_family(MFamily::kRingStopCbo, stream % 3);
-    reg.observe(MHist::kAccessNs, 50.0 * static_cast<double>(stream + 1));
-    if (reg.access_tick()) {
-      reg.set_gauge(MGauge::kDirectoryTracked,
-                    static_cast<std::int64_t>(stream * 10 + i));
-      reg.take_sample();
-    }
-  }
-  return reg;
-}
-
-TEST(MetricsHub, MergeIsIndependentOfAbsorbOrder) {
-  MetricsHub forward;
-  MetricsHub reverse;
-  for (std::uint32_t s = 0; s < 5; ++s) forward.absorb(make_registry(s));
-  for (std::uint32_t s = 5; s-- > 0;) reverse.absorb(make_registry(s));
-
-  const MergedMetrics a = forward.merged();
-  const MergedMetrics b = reverse.merged();
-  EXPECT_EQ(a.streams, 5u);
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.counters, b.counters);
-  EXPECT_EQ(a.gauges, b.gauges);
-  // Double summation order is part of the determinism contract: the hub
-  // folds registries in stream-id order, so the bit patterns must match.
-  EXPECT_EQ(a.meters, b.meters);
-  EXPECT_EQ(a.families, b.families);
-  EXPECT_EQ(a.histograms[0].buckets(), b.histograms[0].buckets());
-
-  ASSERT_EQ(a.samples.size(), b.samples.size());
-  for (std::size_t i = 0; i < a.samples.size(); ++i) {
-    EXPECT_EQ(a.samples[i].stream, b.samples[i].stream);
-    EXPECT_EQ(a.samples[i].seq, b.samples[i].seq);
-    EXPECT_EQ(a.samples[i].gauges, b.samples[i].gauges);
-    if (i > 0) {
-      // Sorted by (stream, seq): the series is monotone in that key.
-      const bool ordered =
-          a.samples[i - 1].stream < a.samples[i].stream ||
-          (a.samples[i - 1].stream == a.samples[i].stream &&
-           a.samples[i - 1].seq < a.samples[i].seq);
-      EXPECT_TRUE(ordered) << "sample " << i << " out of (stream, seq) order";
-    }
-  }
 }
 
 }  // namespace

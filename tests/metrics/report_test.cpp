@@ -1,5 +1,5 @@
 // Run-report round trip: write_report's JSON must parse back (via the
-// flat parser the differ uses) with every schema section present, exact
+// flat parser the differ uses) with every metrics field present, exact
 // counter values, and stable float formatting; unwritable paths must fail
 // loudly instead of silently dropping the report.
 #include <gtest/gtest.h>
@@ -58,7 +58,7 @@ TEST_F(ReportTest, WriteThenParseRoundTrips) {
   ASSERT_TRUE(flat.has_value());
   const auto& map = *flat;
 
-  EXPECT_EQ(map.at("hswsim_metrics_version"), "1");
+  EXPECT_EQ(map.at("hswsim_report_version"), "2");
   EXPECT_EQ(map.at("manifest.tool"), "report_test");
   EXPECT_EQ(map.at("manifest.config"), "unit \"quoted\" summary");
   EXPECT_EQ(map.at("manifest.seed"), "9");
@@ -67,25 +67,25 @@ TEST_F(ReportTest, WriteThenParseRoundTrips) {
   EXPECT_EQ(map.at("manifest.protocol"), "moesi");
   ASSERT_EQ(map.at("manifest.timing_hash").size(), 16u);
 
-  EXPECT_EQ(map.at("counters.HA_HITME_HIT"), "17");
-  EXPECT_EQ(map.at("counters.HA_DIRECTORY_STALE_BCAST"), "5");
+  EXPECT_EQ(map.at("metrics.counters.HA_HITME_HIT"), "17");
+  EXPECT_EQ(map.at("metrics.counters.HA_DIRECTORY_STALE_BCAST"), "5");
   // Schema is complete even for untouched events.
-  EXPECT_EQ(map.at("counters.IMC_PAGE_CONFLICT"), "0");
-  EXPECT_EQ(map.at("engine_counters.uncore_ha.hitme_hit"), "0");
+  EXPECT_EQ(map.at("metrics.counters.IMC_PAGE_CONFLICT"), "0");
+  EXPECT_EQ(map.at("metrics.engine_counters.uncore_ha.hitme_hit"), "0");
 
   // Fixed %.6f float formatting.
-  EXPECT_EQ(map.at("meters.RING_HOPS"), "12.500000");
-  EXPECT_EQ(map.at("families.QPI_LINK_BYTES.0"), "72");
-  EXPECT_EQ(map.at("families.QPI_LINK_BYTES.1"), "144");
-  EXPECT_EQ(map.at("histograms.ACCESS_LATENCY_NS.total"), "1");
+  EXPECT_EQ(map.at("metrics.meters.RING_HOPS"), "12.500000");
+  EXPECT_EQ(map.at("metrics.families.QPI_LINK_BYTES.0"), "72");
+  EXPECT_EQ(map.at("metrics.families.QPI_LINK_BYTES.1"), "144");
+  EXPECT_EQ(map.at("metrics.histograms.ACCESS_LATENCY_NS.total"), "1");
 
   // The sampler fired at accesses 2 and 4 (interval 2, 4 ticks).
-  EXPECT_EQ(map.at("samples.0.stream"), "3");
-  EXPECT_EQ(map.at("samples.0.access"), "2");
-  EXPECT_EQ(map.at("samples.1.seq"), "1");
+  EXPECT_EQ(map.at("metrics.samples.0.stream"), "3");
+  EXPECT_EQ(map.at("metrics.samples.0.access"), "2");
+  EXPECT_EQ(map.at("metrics.samples.1.seq"), "1");
   const auto gauge_index =
       std::to_string(static_cast<std::size_t>(MGauge::kHitmeEntries));
-  EXPECT_EQ(map.at("samples.1.g." + gauge_index), "5");
+  EXPECT_EQ(map.at("metrics.samples.1.g." + gauge_index), "5");
 }
 
 TEST_F(ReportTest, IdenticalInputsProduceIdenticalBytes) {
@@ -117,6 +117,13 @@ TEST_F(ReportTest, ParseRejectsNonReports) {
   std::fputs("{\"not_a_report\": 1}\n", f);
   std::fclose(f);
   EXPECT_FALSE(parse_report_flat(path_).has_value());
+  // A version-1 metrics report parses as JSON but is not a v2 document.
+  f = std::fopen(path_.c_str(), "w");
+  std::fputs("{\"hswsim_metrics_version\": 1}\n", f);
+  std::fclose(f);
+  std::map<std::string, std::string> flat;
+  EXPECT_EQ(load_report_flat(path_, &flat), ReportLoadError::kUnknownVersion);
+  EXPECT_EQ(flat.at("hswsim_metrics_version"), "1");
 }
 
 TEST_F(ReportTest, TimingFingerprintTracksConstants) {

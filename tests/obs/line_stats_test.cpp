@@ -1,13 +1,17 @@
 // Unit tests of the per-line coherence flight recorder (obs/line_stats.h):
 // the episode-based sharing-pattern classifier, the transition matrix and
-// L3 residency clock, the deterministic hub merge, and the report writer's
-// failure path.  Engine integration (which hooks fire where) is covered by
+// L3 residency clock, the contention ranking of the hub merge, and the
+// report section.  Absorb-order independence of the merge is covered for
+// every hub by stream_hub_test.cpp.  Engine integration (which hooks fire where) is covered by
 // the sharing_patterns golden and the determinism ctest scripts.
 #include "obs/line_stats.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "machine/system.h"
 #include "metrics/report.h"
@@ -147,27 +151,6 @@ TEST(LineStatsRecorderTest, EngineRecordsOwnerDemotionAndForward) {
   EXPECT_GT(total, 0.0);
 }
 
-TEST(LineStatsHubTest, MergeIsAbsorbOrderIndependent) {
-  const auto make = [](std::uint32_t stream, int core) {
-    LineStatsRecorder r(hsw::Protocol::kMesif, stream);
-    r.on_access(core, 11, kW, 1.0);
-    r.on_access(core + 1, 11, kR, 2.0);
-    r.on_transition(Level::kL3, 0, 11, Mesif::kInvalid, LineOp::kLocalStore,
-                    Mesif::kModified);
-    return r;
-  };
-  LineStatsHub forward;
-  forward.absorb(make(0, 0));
-  forward.absorb(make(1, 4));
-  LineStatsHub reverse;
-  reverse.absorb(make(1, 4));
-  reverse.absorb(make(0, 0));
-  EXPECT_EQ(hsw::obs::render_linestats_section(forward.merged()),
-            hsw::obs::render_linestats_section(reverse.merged()));
-  EXPECT_EQ(forward.merged().streams, 2u);
-  EXPECT_EQ(forward.merged().accesses, 4u);
-}
-
 TEST(LineStatsHubTest, TopLinesRankByContention) {
   LineStatsRecorder r(hsw::Protocol::kMesif, 0);
   // Line 1: quiet.  Line 2: two invalidating snoops of a held copy.
@@ -201,8 +184,17 @@ TEST(LineStatsReportTest, SectionCarriesVersionAndNonzeroCellsOnly) {
   hub.absorb(std::move(r));
   const std::string section =
       hsw::obs::render_linestats_section(hub.merged());
-  EXPECT_NE(section.find("\"hswsim_linestats_version\": 1"),
-            std::string::npos);
+  // The section carries no version of its own: the one report document's
+  // version key covers it.
+  EXPECT_EQ(section.find("version"), std::string::npos);
+  const std::string path = ::testing::TempDir() + "line_stats_section.json";
+  ASSERT_TRUE(hsw::metrics::write_report(path, hsw::metrics::ReportManifest{},
+                                         std::vector<std::string>{section}));
+  const auto flat = hsw::metrics::parse_report_flat(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(flat.has_value());
+  EXPECT_EQ(flat->at("hswsim_report_version"), "2");
+  EXPECT_EQ(flat->at("lines.transitions.L1.I.LocalStore.M"), "1");
   EXPECT_NE(section.find("\"I.LocalStore.M\": 1"), std::string::npos);
   // Zero transition cells are omitted, not printed as zero.
   EXPECT_EQ(section.find("\"I.LocalRead.I\""), std::string::npos);
@@ -210,9 +202,11 @@ TEST(LineStatsReportTest, SectionCarriesVersionAndNonzeroCellsOnly) {
 }
 
 TEST(LineStatsReportTest, WriteFailsCleanlyOnBadPath) {
-  hsw::metrics::ReportManifest manifest;
-  EXPECT_FALSE(hsw::obs::write_linestats_report(
-      "/nonexistent-dir/line_stats.json", manifest, MergedLineStats{}));
+  const std::vector<std::string> sections{
+      hsw::obs::render_linestats_section(MergedLineStats{})};
+  EXPECT_FALSE(hsw::metrics::write_report("/nonexistent-dir/line_stats.json",
+                                          hsw::metrics::ReportManifest{},
+                                          sections));
 }
 
 }  // namespace
