@@ -666,9 +666,10 @@ void BM_CacheFillFlush(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheFillFlush);
 
-// The one pattern where the striped layout pays instead of wins: a cold
-// streaming fill writes six stripes where the AoS record wrote one or two
-// cache lines.  Recorded so the tradeoff stays visible in the baseline.
+// A streaming fill then flush: each insert writes one 16-byte record and a
+// partial-tag byte (plus the set's ranks when the set was empty), where the
+// frozen array writes one record holding a 64-bit LRU clock.  Recorded so
+// the fill cost of the production layout stays visible beside its lookups.
 void BM_CacheFillFlushLegacy(benchmark::State& state) {
   hswtest::LegacyCacheArray array(hsw::kib(256), 8);
   for (auto _ : state) {

@@ -68,7 +68,7 @@ double CoherenceEngine::l3_path(int core) const {
 // tree (trace/span.h) replays the engine's own FP operation sequence and
 // recomposes each access's ns bit-for-bit.
 
-void CoherenceEngine::trace_l3_path(int core) {
+void CoherenceEngine::emit_l3_path(int core) {
   // CBo / ring utilization metrics ride the same call sites as the trace
   // (every L3-path transaction passes through here exactly once).
   if (metrics::MetricsRegistry* const mm = m_.metrics) {
@@ -116,9 +116,8 @@ void CoherenceEngine::metrics_access(double ns) {
   }
 }
 
-void CoherenceEngine::metric_request_to_ha(int req_node, int home_node) {
+void CoherenceEngine::record_request_to_ha(int req_node, int home_node) {
   metrics::MetricsRegistry* const mm = m_.metrics;
-  if (mm == nullptr) return;
   mm->bump(req_node == home_node ? MC::kSadLocalHome : MC::kSadRemoteHome);
   mm->bump_family(metrics::MFamily::kRingStopHa,
                   static_cast<std::size_t>(home_node));
@@ -126,15 +125,14 @@ void CoherenceEngine::metric_request_to_ha(int req_node, int home_node) {
     mm->meter(metrics::MMeter::kRingHops, m_.ca_to_imc_hops(home_node));
   } else {
     mm->meter(metrics::MMeter::kRingHops, m_.qpi_to_imc_hops(home_node));
-    metric_qpi(req_node, home_node, metrics::kQpiHeaderBytes);
+    record_qpi(req_node, home_node, metrics::kQpiHeaderBytes);
   }
 }
 
-void CoherenceEngine::metric_qpi(int from_node, int to_node,
+void CoherenceEngine::record_qpi(int from_node, int to_node,
                                  std::uint64_t bytes) {
   metrics::MetricsRegistry* const mm = m_.metrics;
-  if (mm == nullptr || from_node == to_node ||
-      !m_.topo.crosses_qpi(from_node, to_node)) {
+  if (from_node == to_node || !m_.topo.crosses_qpi(from_node, to_node)) {
     return;
   }
   int a = m_.topo.node(from_node).socket;

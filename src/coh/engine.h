@@ -169,7 +169,11 @@ class CoherenceEngine {
   [[nodiscard]] double l3_path(int core) const;
 
   // Tracing helpers (no-ops when no tracer is attached) ----------------------
-  void trace_l3_path(int core);
+  // Also carries the CBo/ring metrics; a detached engine makes no call.
+  void trace_l3_path(int core) {
+    if (tracer_ != nullptr || m_.metrics != nullptr) emit_l3_path(core);
+  }
+  void emit_l3_path(int core);
   // One leaf for the transport between two nodes' agents (kQpi across
   // sockets, kRing inside one).
   void trace_link(const char* name, int from, int to);
@@ -194,9 +198,15 @@ class CoherenceEngine {
   void metrics_access(double ns);
   // SAD decode + HA ring-stop accounting at the home agent, mirroring the
   // MachineState::request_to_ha() transport composition.
-  void metric_request_to_ha(int req_node, int home_node);
+  void metric_request_to_ha(int req_node, int home_node) {
+    if (m_.metrics != nullptr) record_request_to_ha(req_node, home_node);
+  }
+  void record_request_to_ha(int req_node, int home_node);
   // One message crossing the socket link (no-op for same-socket pairs).
-  void metric_qpi(int from_node, int to_node, std::uint64_t bytes);
+  void metric_qpi(int from_node, int to_node, std::uint64_t bytes) {
+    if (m_.metrics != nullptr) record_qpi(from_node, to_node, bytes);
+  }
+  void record_qpi(int from_node, int to_node, std::uint64_t bytes);
 
   [[nodiscard]] bool directory_on() const { return m_.features.directory; }
   [[nodiscard]] bool hitme_on() const {

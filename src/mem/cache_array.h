@@ -10,26 +10,40 @@
 // far the approximation changes eviction patterns (the L3 uses an
 // approximation on real silicon).
 //
-// Layout: structure-of-arrays.  Tags, MESIF states, core-valid vectors,
-// payload bytes and recency counters live in parallel flat stripes indexed
-// `set * assoc + way`.  The scan itself runs over a packed stripe of 8-bit
-// partial tags (one byte per way, eight ways per 64-bit word): a lookup
-// XORs the set's packed word against the probe's splatted partial tag and
-// uses the SWAR zero-byte trick to produce a candidate-way bitmask in a
-// handful of ALU ops, with no per-way loop.  Candidates (usually exactly
-// one) are verified against the full 8-byte tag stripe, so partial-tag
-// collisions cost one extra compare and can never produce a wrong hit.
-// The per-set valid-way bitmask rejects empty sets before any tag is read
-// and gates stale bytes left by erase.  The cold metadata stripes (state,
-// core-valid, payload, LRU) are only dereferenced on a hit.  lookup() and
-// the scan helpers are header-inline because they dominate the whole
-// simulator's profile.
+// Layout.  The miss probe reads two compact stripes: a per-set valid-way
+// bitmask, which rejects empty sets in one load and gates stale lanes left
+// by erase, and a packed stripe of 8-bit partial tags (one byte per way,
+// eight ways per 64-bit word).  A lookup XORs the set's packed words
+// against the probe's splatted partial tag and uses the SWAR zero-byte
+// trick to produce a candidate-way bitmask in a handful of ALU ops, with no
+// per-way loop.  Candidates (usually exactly one) are verified against the
+// full tag, so partial-tag collisions cost one extra compare and can never
+// produce a wrong hit.  Everything else about a way (full tag, core-valid
+// vector, MESIF state, payload byte) sits in one 16-byte record, so a hit
+// or a victim touches one cache line of metadata, not one per field.
+//
+// Exact LRU keeps one 8-bit move-to-front rank per way in a stripe shaped
+// like the partial tags (pad lanes hold 0x7f): rank 0 is the most recent
+// way and rank assoc-1 the victim.  A touch is a SWAR compare-and-add over
+// the set's rank words.  The ranks of a set are reset to the identity
+// when insert finds the set empty, so every way of a full set was touched
+// since the reset and the ranks order the ways by last touch exactly.
+//
+// The records and the ranks share one block that is never zero-filled:
+// insert writes a way's record before any read of it (reads are gated by
+// the valid mask), and a set's ranks before any touch.  Blocks are
+// recycled per thread, so a sweep that builds a System per point neither
+// writes nor page-faults in the bulk of each new System's metadata.
+// lookup() and the scan helpers are header-inline because they dominate
+// the whole simulator's profile.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -49,8 +63,8 @@ namespace hsw {
 enum class Replacement : std::uint8_t { kLru, kTreePlru };
 
 // Value snapshot of one cached line's metadata.  The array itself stores
-// the fields striped (see the layout note above); CacheEntry is the
-// materialized form handed to callers that keep copies (victims, flush
+// each way as a packed record (see the layout note above); CacheEntry is
+// the materialized form handed to callers that keep copies (victims, flush
 // callbacks, peeks).
 struct CacheEntry {
   LineAddr line = 0;
@@ -60,33 +74,35 @@ struct CacheEntry {
 };
 
 class CacheArray {
+  // One way's metadata.  No default member initializers: the record array
+  // is allocated uninitialized and insert writes every field first.
+  struct Way {
+    LineAddr tag;
+    std::uint32_t core_valid;
+    Mesif state;
+    std::uint8_t payload;
+  };
+  static_assert(sizeof(Way) == 16);
+
  public:
-  // Mutable handle to one resident line: direct pointers into the metadata
-  // stripes.  Invalidated by any subsequent insert/erase/flush on the array
-  // (same lifetime rule the old CacheEntry* had).  A default-constructed
-  // Ref is "miss" and converts to false.
+  // Mutable handle to one resident line: a pointer to its way record.
+  // Invalidated by any subsequent insert/erase/flush on the array (same
+  // lifetime rule the old CacheEntry* had).  A default-constructed Ref is
+  // "miss" and converts to false.
   class Ref {
    public:
     Ref() = default;
-    explicit operator bool() const { return state_ != nullptr; }
-    [[nodiscard]] LineAddr line() const { return line_; }
-    [[nodiscard]] Mesif& state() const { return *state_; }
-    [[nodiscard]] std::uint32_t& core_valid() const { return *core_valid_; }
-    [[nodiscard]] std::uint8_t& payload() const { return *payload_; }
-    [[nodiscard]] CacheEntry entry() const {
-      return CacheEntry{line_, *state_, *core_valid_, *payload_};
-    }
+    explicit operator bool() const { return way_ != nullptr; }
+    [[nodiscard]] LineAddr line() const { return way_->tag; }
+    [[nodiscard]] Mesif& state() const { return way_->state; }
+    [[nodiscard]] std::uint32_t& core_valid() const { return way_->core_valid; }
+    [[nodiscard]] std::uint8_t& payload() const { return way_->payload; }
+    [[nodiscard]] CacheEntry entry() const { return entry_of(*way_); }
 
    private:
     friend class CacheArray;
-    Ref(LineAddr line, Mesif* state, std::uint32_t* core_valid,
-        std::uint8_t* payload)
-        : line_(line), state_(state), core_valid_(core_valid),
-          payload_(payload) {}
-    LineAddr line_ = 0;
-    Mesif* state_ = nullptr;
-    std::uint32_t* core_valid_ = nullptr;
-    std::uint8_t* payload_ = nullptr;
+    explicit Ref(Way* way) : way_(way) {}
+    Way* way_ = nullptr;
   };
 
   // `capacity_bytes` must be a multiple of `associativity * kLineSize` and
@@ -108,16 +124,15 @@ class CacheArray {
     if (match == 0) return Ref{};
     const auto w = static_cast<std::size_t>(std::countr_zero(match));
     if (touch) touch_way(idx, w);
-    return ref_at(idx * assoc_ + w, line);
+    return Ref{ways_ + idx * assoc_ + w};
   }
 
   [[nodiscard]] std::optional<CacheEntry> peek(LineAddr line) const {
     const std::size_t idx = set_index(line);
     const std::uint64_t match = match_mask(idx, line);
     if (match == 0) return std::nullopt;
-    const auto slot =
-        idx * assoc_ + static_cast<std::size_t>(std::countr_zero(match));
-    return CacheEntry{line, states_[slot], core_valid_[slot], payload_[slot]};
+    const auto w = static_cast<std::size_t>(std::countr_zero(match));
+    return entry_of(ways_[idx * assoc_ + w]);
   }
   [[nodiscard]] bool contains(LineAddr line) const {
     return match_mask(set_index(line), line) != 0;
@@ -145,9 +160,7 @@ class CacheArray {
       while (mask != 0) {
         const auto w = static_cast<std::size_t>(std::countr_zero(mask));
         mask &= mask - 1;
-        const std::size_t slot = idx * assoc_ + w;
-        on_evict(CacheEntry{tags_[slot], states_[slot], core_valid_[slot],
-                            payload_[slot]});
+        on_evict(entry_of(ways_[idx * assoc_ + w]));
       }
       valid_mask_[idx] = 0;
     }
@@ -202,7 +215,7 @@ class CacheArray {
     if (valid == 0) return 0;
     const std::uint64_t splat = kLanes * ptag_of(line);
     const std::uint8_t* const pt = ptags_.data() + idx * pstride_;
-    const LineAddr* const tags = tags_.data() + idx * assoc_;
+    const Way* const ways = ways_ + idx * assoc_;
     for (unsigned k = 0; k < pwords_; ++k) {  // one iteration for assoc <= 8
       std::uint64_t v;
       std::memcpy(&v, pt + 8 * k, 8);
@@ -212,22 +225,43 @@ class CacheArray {
         const auto w =
             8 * k + (static_cast<unsigned>(std::countr_zero(z)) >> 3);
         z &= z - 1;
-        if (((valid >> w) & 1) != 0 && tags[w] == line) {
+        if (((valid >> w) & 1) != 0 && ways[w].tag == line) {
           return std::uint64_t{1} << w;
         }
       }
     }
     return 0;
   }
-  [[nodiscard]] Ref ref_at(std::size_t slot, LineAddr line) {
-    return Ref{line, states_.data() + slot, core_valid_.data() + slot,
-               payload_.data() + slot};
+  static CacheEntry entry_of(const Way& w) {
+    return CacheEntry{w.tag, w.state, w.core_valid, w.payload};
   }
   // Index of the way to replace in the set (all ways valid).
   [[nodiscard]] std::size_t victim_way(std::size_t set_idx) const;
   void touch_way(std::size_t set_idx, std::size_t way) {
-    lru_[set_idx * assoc_ + way] = ++clock_;
-    if (replacement_ == Replacement::kTreePlru) touch_plru(set_idx, way);
+    if (replacement_ == Replacement::kLru) {
+      touch_lru(set_idx, way);
+    } else {
+      touch_plru(set_idx, way);
+    }
+  }
+  // Move-to-front: every rank below the touched way's rank ages by one and
+  // the touched way becomes rank 0.  Per lane, (0x80 | (old - 1)) - rank
+  // keeps its high bit iff rank < old; ranks and pad lanes stay below 0x80,
+  // so no lane borrows from or carries into its neighbour.
+  void touch_lru(std::size_t set_idx, std::size_t way) {
+    constexpr std::uint64_t kLanes = 0x0101010101010101ull;
+    constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
+    std::uint8_t* const ranks = ranks_ + set_idx * pstride_;
+    const std::uint8_t old = ranks[way];
+    if (old == 0) return;
+    const std::uint64_t below = (kLanes * (old - 1u)) | kHighBits;
+    for (unsigned k = 0; k < pwords_; ++k) {
+      std::uint64_t v;
+      std::memcpy(&v, ranks + 8 * k, 8);
+      v += ((below - v) & kHighBits) >> 7;
+      std::memcpy(ranks + 8 * k, &v, 8);
+    }
+    ranks[way] = 0;
   }
   void touch_plru(std::size_t set_idx, std::size_t way);
 
@@ -243,14 +277,22 @@ class CacheArray {
   std::size_t pstride_ = 8;
   unsigned pwords_ = 1;     // pstride_ / 8
   unsigned set_shift_ = 0;  // log2(set_count_), for ptag_of
-  // Parallel `set * assoc + way` stripes (see the layout note above).  The
-  // scan dereferences tags_ only to verify partial-tag candidates; the
-  // others are hit-path-only.
-  std::vector<LineAddr> tags_;
-  std::vector<Mesif> states_;
-  std::vector<std::uint32_t> core_valid_;
-  std::vector<std::uint8_t> payload_;
-  std::vector<std::uint64_t> lru_;  // larger == more recent
+  // One uninitialized block holds the way records, then (LRU only) the
+  // ranks.  Blocks come from and return to a per-thread spare list (see
+  // cache_array.cpp).  (No member initializer in Recycle, for the reason
+  // given at DirectoryStore::Recycle.)
+  struct Recycle {
+    std::size_t bytes;
+    void operator()(std::byte* block) const noexcept;
+  };
+  std::unique_ptr<std::byte[], Recycle> block_;
+  // Way records, `set * assoc + way` (unwritten until insert).
+  Way* ways_ = nullptr;
+  // LRU ranks, laid out like ptags_ (unwritten until a set's first insert;
+  // null for tree-PLRU).
+  std::uint8_t* ranks_ = nullptr;
+  // What a set's ranks are reset to: the identity, then 0x7f pad lanes.
+  std::array<std::uint8_t, 64> rank_reset_{};
   // Per-set bitmask of valid ways: the miss fast path for lookup/peek/
   // contains, and insert's free-way scan (one countr_one instead of a tag
   // walk).
@@ -258,7 +300,6 @@ class CacheArray {
   // Tree-PLRU state: one bit-tree per set, stored as an integer of
   // (assoc-1) bits (assoc must be a power of two for PLRU).
   std::vector<std::uint32_t> plru_;
-  std::uint64_t clock_ = 0;
 };
 
 }  // namespace hsw

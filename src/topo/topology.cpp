@@ -171,10 +171,6 @@ int SystemTopology::internode_hops(int node_a, int node_b) const {
   return hops;
 }
 
-bool SystemTopology::crosses_qpi(int node_a, int node_b) const {
-  return node(node_a).socket != node(node_b).socket;
-}
-
 double SystemTopology::mean_core_to_ca_hops(int core) const {
   const int socket = socket_of_core(core);
   const Die& d = die(socket);

@@ -137,7 +137,9 @@ class SystemTopology {
   // (node0-node2 = 1 hop, node0-node3 / node1-node2 = 2, node1-node3 = 3).
   [[nodiscard]] int internode_hops(int node_a, int node_b) const;
   // True when the path between the nodes crosses QPI (different sockets).
-  [[nodiscard]] bool crosses_qpi(int node_a, int node_b) const;
+  [[nodiscard]] bool crosses_qpi(int node_a, int node_b) const {
+    return node(node_a).socket != node(node_b).socket;
+  }
 
   // Mean one-way ring distance from a core to the CA slices of its own node
   // (uniform address interleaving).  This is the quantity behind the
