@@ -49,10 +49,6 @@ struct BenchArgs {
   // reject anything else at the parse edge — a run must never record a
   // protocol in its manifest that its SystemConfigs did not actually use.
   hsw::Protocol protocol = hsw::Protocol::kMesif;
-  // Set-sampling (--sample-ratio/--sample-seed): sweep points simulate only
-  // the sampled fraction of cache-set granules.  1.0 (default) is exact and
-  // byte-identical to the goldens; see EXPERIMENTS.md "Performance".
-  hsw::SamplingConfig sampling;
   std::string tool;       // bench binary name (report manifest)
   std::string summary;    // bench one-liner (report manifest)
 };
@@ -118,33 +114,17 @@ inline BenchArgs parse_args(
   cli.add_string("protocol", &protocol,
                  "coherence-protocol family: mesif (Haswell-EP) | mesi | "
                  "moesi | dragon (update-based)");
-  cli.add_double("sample-ratio", &args.sampling.ratio,
-                 "fraction of cache sets to simulate, in (0, 1], rounded to "
-                 "1/2^k; 1 = exact (default), ~0.06 trades <2% error on the "
-                 "big sweep points for the speedup (validate_sampling)");
-  std::int64_t sample_seed = 0;
-  cli.add_int("sample-seed", &sample_seed,
-              "re-randomizes the sampled realization (deterministic per "
-              "(ratio, seed))");
   std::string spec_path;
   cli.add_string("spec", &spec_path,
                  "load an ExperimentSpec JSON document "
-                 "(src/core/experiment.h); its seed / engine / protocol / "
-                 "sample-ratio / sample-seed override those flags, while the "
-                 "sweep geometry stays the bench's own");
+                 "(src/core/experiment.h); its seed / engine / protocol "
+                 "override those flags, while the sweep geometry stays the "
+                 "bench's own");
 
   cli.add_check([&]() -> std::optional<std::string> {
     if (jobs < 0) return "--jobs must be >= 0";
     args.jobs = static_cast<unsigned>(jobs);
     args.seed = static_cast<std::uint64_t>(seed);
-    args.sampling.seed = static_cast<std::uint64_t>(sample_seed);
-    if (!(args.sampling.ratio > 0.0) || args.sampling.ratio > 1.0) {
-      char buf[96];
-      std::snprintf(buf, sizeof buf,
-                    "--sample-ratio must be in (0, 1], got %g",
-                    args.sampling.ratio);
-      return std::string(buf);
-    }
     return std::nullopt;
   });
   cli.add_check([&]() -> std::optional<std::string> {
@@ -176,26 +156,12 @@ inline BenchArgs parse_args(
     args.seed = spec->seed;
     args.engine = spec->engine;
     args.protocol = spec->protocol;
-    args.sampling.ratio = spec->sample_ratio;
-    args.sampling.seed = spec->sample_seed;
-    return std::nullopt;
-  });
-  // The flight recorder classifies individual lines; a set-sampled run
-  // simulates only a fraction of them on a scaled machine, so the per-line
-  // report would silently describe a different population.  Refuse the
-  // combination instead of producing a misleading file.
-  cli.add_check([&]() -> std::optional<std::string> {
-    if (args.observe.set.lines && args.sampling.ratio < 1.0) {
-      return "--observe lines requires an exact run: remove --sample-ratio "
-             "(set-sampling simulates only a fraction of cache sets, so "
-             "per-line sharing stats would describe a scaled machine)";
-    }
     return std::nullopt;
   });
   // The per-resource recorder watches the simulated engine's FIFO servers;
   // the analytic solver (and every latency bench) has no queues to observe,
   // so the report would be all zeros.  Refuse the combination instead of
-  // writing a misleading file — same policy as lines + --sample-ratio.
+  // writing a misleading file.
   cli.add_check([&]() -> std::optional<std::string> {
     if (args.observe.set.resources &&
         args.engine != hsw::BandwidthEngine::kSimulated) {

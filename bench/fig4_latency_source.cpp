@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
     sc.sizes = sizes;
     sc.max_measured_lines = 8192;
     sc.seed = args.seed;
-    sc.sampling = args.sampling;
     plans.push_back({std::move(name), std::move(sc)});
   };
 

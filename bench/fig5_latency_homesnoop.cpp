@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
       sc.sizes = sizes;
       sc.max_measured_lines = 8192;
       sc.seed = args.seed;
-      sc.sampling = args.sampling;
       plans.push_back({std::string(prefix) + " " + where, std::move(sc)});
     }
   }

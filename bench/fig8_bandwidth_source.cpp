@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
     sc.stream.placement.state = state;
     sc.sizes = sizes;
     sc.seed = args.seed;
-    sc.sampling = args.sampling;
     sc.engine = args.engine;
     plans.push_back({std::move(name), std::move(sc)});
   };

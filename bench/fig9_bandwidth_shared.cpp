@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
     sc.stream.placement.sharers = std::move(sharers);
     sc.sizes = sizes;
     sc.seed = args.seed;
-    sc.sampling = args.sampling;
     sc.engine = args.engine;
     plans.push_back({std::move(name), std::move(sc)});
   };

@@ -15,12 +15,6 @@ void set_error(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
 }
 
-std::string fmt_ratio(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
 bool parse_u64(const std::string& text, std::uint64_t* out) {
   auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), *out);
@@ -28,12 +22,6 @@ bool parse_u64(const std::string& text, std::uint64_t* out) {
 }
 
 bool parse_int(const std::string& text, int* out) {
-  auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_f64(const std::string& text, double* out) {
   auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), *out);
   return ec == std::errc{} && ptr == text.data() + text.size();
@@ -93,8 +81,6 @@ std::string ExperimentSpec::to_json() const {
   out += "  \"protocol\": \"" + std::string(to_string(protocol)) + "\",\n";
   out += std::string("  \"engine\": \"") + to_string(engine) + "\",\n";
   out += "  \"seed\": " + std::to_string(seed) + ",\n";
-  out += "  \"sample_ratio\": " + fmt_ratio(sample_ratio) + ",\n";
-  out += "  \"sample_seed\": " + std::to_string(sample_seed) + ",\n";
   out += "  \"core\": " + std::to_string(core) + ",\n";
   out += std::string("  \"write\": ") + (write ? "true" : "false") + ",\n";
   out += std::string("  \"width\": \"") + load_width_token(width) + "\",\n";
@@ -125,13 +111,6 @@ SystemConfig ExperimentSpec::system_config() const {
   return config;
 }
 
-SamplingConfig ExperimentSpec::sampling() const {
-  SamplingConfig config;
-  config.ratio = sample_ratio;
-  config.seed = sample_seed;
-  return config;
-}
-
 Placement ExperimentSpec::placement() const {
   Placement p;
   p.owner_core = owner_core;
@@ -153,11 +132,11 @@ std::optional<ExperimentSpec> spec_from_flat(
 
   // Reject unknown keys first: a typo must not silently become a default.
   static constexpr std::string_view kScalarKeys[] = {
-      "hswsim_spec_version", "kind",        "mode",
-      "protocol",            "engine",      "seed",
-      "sample_ratio",        "sample_seed", "core",
-      "write",               "width",       "placement.owner_core",
-      "placement.memory_node", "placement.state", "max_measured_lines"};
+      "hswsim_spec_version",   "kind",            "mode",
+      "protocol",              "engine",          "seed",
+      "core",                  "write",           "width",
+      "placement.owner_core",  "placement.memory_node",
+      "placement.state",       "max_measured_lines"};
   for (const auto& [key, value] : flat) {
     bool known = false;
     for (const std::string_view k : kScalarKeys) {
@@ -221,19 +200,6 @@ std::optional<ExperimentSpec> spec_from_flat(
   if (const std::string* v = get("seed")) {
     if (!parse_u64(*v, &spec.seed)) {
       set_error(error, "experiment spec: bad seed '" + *v + "'");
-      return std::nullopt;
-    }
-  }
-  if (const std::string* v = get("sample_ratio")) {
-    if (!parse_f64(*v, &spec.sample_ratio) || !(spec.sample_ratio > 0.0) ||
-        spec.sample_ratio > 1.0) {
-      set_error(error, "experiment spec: sample_ratio must be in (0, 1]");
-      return std::nullopt;
-    }
-  }
-  if (const std::string* v = get("sample_seed")) {
-    if (!parse_u64(*v, &spec.sample_seed)) {
-      set_error(error, "experiment spec: bad sample_seed '" + *v + "'");
       return std::nullopt;
     }
   }

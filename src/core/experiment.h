@@ -3,8 +3,7 @@
 //
 // An ExperimentSpec names a latency or bandwidth size sweep the same way the
 // benches and the metrics manifest already do — snoop mode, protocol family,
-// engine, seed, set-sampling, stream placement — as a small versioned JSON
-// document.  The benches accept it via --spec.
+// engine, seed, stream placement — as a small versioned JSON document.  The benches accept it via --spec.
 //
 // Library contract: nothing in here exits or prints.  Parse failures return
 // nullopt with a message in `*error`; callers own the error policy.
@@ -18,7 +17,6 @@
 
 #include "core/bandwidth.h"
 #include "core/placement.h"
-#include "core/sampling.h"
 #include "machine/system.h"
 
 namespace hsw {
@@ -48,9 +46,6 @@ struct ExperimentSpec {
   // Bandwidth only (latency sweeps have no engine choice).
   BandwidthEngine engine = BandwidthEngine::kAnalytic;
   std::uint64_t seed = 1;
-  // Set-sampling (core/sampling.h): ratio 1 = exact.
-  double sample_ratio = 1.0;
-  std::uint64_t sample_seed = 0;
   // The measuring (latency) / streaming (bandwidth) core.
   int core = 0;
   // Bandwidth only: store stream instead of load stream.
@@ -76,7 +71,6 @@ struct ExperimentSpec {
   // The machine this spec runs on: the snoop-mode preset with the spec's
   // protocol family.
   [[nodiscard]] SystemConfig system_config() const;
-  [[nodiscard]] SamplingConfig sampling() const;
   [[nodiscard]] Placement placement() const;
 };
 

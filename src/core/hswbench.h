@@ -9,8 +9,8 @@
 //                (BandwidthConfig; engine = kAnalytic | kSimulated,
 //                parse_bandwidth_engine), latency_sweep / bandwidth_sweep
 //   specs        ExperimentSpec — the one versioned JSON document naming a
-//                sweep (kind, mode, protocol, engine, seed, sampling,
-//                placement, sizes).  spec_from_json / to_json round-trip;
+//                sweep (kind, mode, protocol, engine, seed, placement,
+//                sizes).  spec_from_json / to_json round-trip;
 //                the benches load it via --spec
 //   model        bw::BandwidthModel (MLP demand + max-min contention),
 //                bw::max_min_rates

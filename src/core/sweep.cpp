@@ -45,32 +45,22 @@ std::vector<std::uint64_t> sweep_sizes(std::uint64_t min_bytes,
 
 LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
                                       std::size_t index) {
-  config.sampling.validate();
   const std::uint64_t bytes = config.sizes.at(index);
-  // Under set-sampling the point runs on the scaled machine (every cache
-  // keeps 1/2^k of its sets) against the equally scaled buffer; the means
-  // estimate the full point, counters are scaled back to full-population
-  // estimates below.  An inactive plan (ratio = 1, or a point below the
-  // sampled-bytes floor) leaves everything untouched.
-  const SamplingPlan plan = config.sampling.plan(bytes);
-  SystemConfig machine = config.system;
-  machine.geometry = plan.scaled(machine.geometry);
-  System system(machine);
+  System system(config.system);
   // Latency points drive no FIFO servers, so they run no resource recorder.
   ObserverSet set = config.trace.observe;
   set.resources = false;
   PointObservers observers =
-      point_observers(config.trace, set, machine.protocol, index);
+      point_observers(config.trace, set, config.system.protocol, index);
   LatencyConfig lc;
   lc.reader_core = config.reader_core;
   lc.placement = config.placement;
   lc.placement.level = CacheLevel::kL1L2;  // natural level by capacity
-  lc.buffer_bytes = plan.scaled_bytes(bytes);
-  lc.max_measured_lines = plan.scaled_measured_lines(config.max_measured_lines);
-  lc.seed = plan.active() ? config.sampling.mix_seed(config.seed) : config.seed;
+  lc.buffer_bytes = bytes;
+  lc.max_measured_lines = config.max_measured_lines;
+  lc.seed = config.seed;
   lc.instrumentation = observers.scope();
   LatencySweepPoint point{bytes, measure_latency(system, lc)};
-  plan.scale_counters(point.result.counters);
   if (config.trace.hubs != nullptr) observers.absorb_into(*config.trace.hubs);
   return point;
 }
@@ -87,23 +77,16 @@ std::vector<LatencySweepPoint> latency_sweep(const LatencySweepConfig& config) {
 
 BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,
                                           std::size_t index) {
-  config.sampling.validate();
   const std::uint64_t bytes = config.sizes.at(index);
-  // Same scaled-machine scheme as latency_sweep_point; rates derive from
-  // probe means and the unscaled bandwidth model, so they need no
-  // rescaling.
-  const SamplingPlan plan = config.sampling.plan(bytes);
-  SystemConfig machine = config.system;
-  machine.geometry = plan.scaled(machine.geometry);
-  System system(machine);
+  System system(config.system);
   PointObservers observers = point_observers(
-      config.trace, config.trace.observe, machine.protocol, index);
+      config.trace, config.trace.observe, config.system.protocol, index);
   BandwidthConfig bc;
   StreamConfig stream = config.stream;
   stream.placement.level = CacheLevel::kL1L2;
   bc.streams = {stream};
-  bc.buffer_bytes = plan.scaled_bytes(bytes);
-  bc.seed = plan.active() ? config.sampling.mix_seed(config.seed) : config.seed;
+  bc.buffer_bytes = bytes;
+  bc.seed = config.seed;
   bc.model = config.model;
   bc.engine = config.engine;
   bc.instrumentation = observers.scope();

@@ -17,7 +17,6 @@
 
 #include "core/bandwidth.h"
 #include "core/latency.h"
-#include "core/sampling.h"
 #include "core/observers.h"
 #include "machine/system.h"
 
@@ -66,8 +65,6 @@ struct LatencySweepConfig {
   // Worker threads for the size axis; 1 = serial, 0 = hardware_concurrency.
   unsigned jobs = 1;
   SweepTraceOptions trace;
-  // Set-sampling applied to every point (core/sampling.h); default exact.
-  SamplingConfig sampling;
 };
 
 // Measures point `index` of `config.sizes` on a fresh System (the unit of
@@ -102,8 +99,6 @@ struct BandwidthSweepConfig {
   // Worker threads for the size axis; 1 = serial, 0 = hardware_concurrency.
   unsigned jobs = 1;
   SweepTraceOptions trace;
-  // Set-sampling applied to every point (core/sampling.h); default exact.
-  SamplingConfig sampling;
 };
 
 BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,

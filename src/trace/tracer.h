@@ -20,7 +20,8 @@
 //   kFull        — breakdown plus retained TraceRecords for export.
 //
 // When no tracer is attached the engine's hot path stays a null-pointer
-// check per flow (guarded by the simbench tracing-overhead benchmarks).
+// check per flow (scripts/check.sh gates perfbench's detached read path,
+// core.chase_ns_per_access, and the attached cost, obs.attribution_cost_x).
 #pragma once
 
 #include <cstdint>

@@ -30,9 +30,9 @@ class CommandLine {
   // Post-parse validation hook.  Checks run in registration order after all
   // flags were assigned; a check that returns a message fails the parse with
   // ParseStatus::kError (message printed to stderr, like a bad flag value).
-  // This is how binaries keep cross-flag policy ("--linestats requires full
-  // sampling") inside the single ParseStatus exit path instead of sprinkling
-  // exit() calls after parsing.
+  // This is how binaries keep cross-flag policy ("--observe resources
+  // requires --engine simulated") inside the single ParseStatus exit path
+  // instead of sprinkling exit() calls after parsing.
   void add_check(std::function<std::optional<std::string>()> check);
 
   // Result of parse_status(): callers that exit on failure should use a

@@ -16,8 +16,6 @@ ExperimentSpec busy_spec() {
   spec.protocol = Protocol::kMesi;
   spec.engine = BandwidthEngine::kSimulated;
   spec.seed = 42;
-  spec.sample_ratio = 0.25;
-  spec.sample_seed = 7;
   spec.core = 3;
   spec.write = true;
   spec.width = bw::LoadWidth::kSse128;
@@ -64,7 +62,7 @@ TEST(ExperimentSpec, ParseIndependentOfKeyOrderAndWhitespace) {
       "  \"placement\": { \"state\": \"S\", \"sharers\": [1, 14],\n"
       "                   \"memory_node\": 2, \"owner_core\": 13 },\n"
       "  \"width\": \"sse128\", \"write\": true, \"core\": 3,\n"
-      "  \"sample_seed\": 7, \"sample_ratio\": 0.25, \"seed\": 42,\n"
+      "  \"seed\": 42,\n"
       "  \"engine\": \"simulated\", \"protocol\": \"mesi\",\n"
       "  \"mode\": \"cod\", \"kind\": \"bandwidth\",\n"
       "  \"hswsim_spec_version\": 1 }";
@@ -89,6 +87,12 @@ TEST(ExperimentSpecErrors, EachFailureNamesItself) {
        "unknown hswsim_spec_version"},
       {"unknown key", "{\"hswsim_spec_version\": 1, \"knid\": \"latency\"}",
        "unknown key"},
+      // The retired set-sampling knobs are unknown keys like any typo.
+      {"retired sample_ratio",
+       "{\"hswsim_spec_version\": 1, \"sample_ratio\": 1.0}",
+       "unknown key 'sample_ratio'"},
+      {"retired sample_seed", "{\"hswsim_spec_version\": 1, \"sample_seed\": 0}",
+       "unknown key 'sample_seed'"},
       {"bad kind", "{\"hswsim_spec_version\": 1, \"kind\": \"both\"}",
        "unknown kind"},
       {"bad mode", "{\"hswsim_spec_version\": 1, \"mode\": \"snoopy\"}",
@@ -97,8 +101,6 @@ TEST(ExperimentSpecErrors, EachFailureNamesItself) {
        "unknown protocol"},
       {"bad engine", "{\"hswsim_spec_version\": 1, \"engine\": \"exact\"}",
        "unknown engine"},
-      {"zero sample ratio",
-       "{\"hswsim_spec_version\": 1, \"sample_ratio\": 0}", "sample_ratio"},
       {"state I", "{\"hswsim_spec_version\": 1, \"placement\": {\"state\": "
                   "\"I\"}}",
        "placement state"},

@@ -1,12 +1,12 @@
-// The original array-of-structures CacheArray, frozen as a reference model.
+// The original array-of-structures CacheArray, frozen as the differential
+// oracle of the production array.
 //
-// This is the implementation the packed-scan CacheArray in
-// src/mem/cache_array.h replaced: one flat array of {entry, lru} ways
-// scanned serially, with 64-bit LRU clocks and the same tree-PLRU logic.
-// The differential test (tests/mem/cache_array_differential_test.cpp)
-// drives both through randomized op interleavings and demands equal hits,
-// metadata, and *exact* victim sequences; simbench pairs it against the
-// production array to measure the layout's speedup.
+// This is the implementation the CacheArray in src/mem/cache_array.h
+// replaced: one flat array of {entry, lru} ways scanned serially, with
+// 64-bit LRU clocks and the same tree-PLRU logic.  The differential test
+// (tests/mem/cache_array_differential_test.cpp) drives both through
+// randomized op interleavings and demands equal hits, metadata, and
+// *exact* victim sequences.
 //
 // Deliberately not shared with src/: the point is an independent copy that
 // does not evolve with the production array.
