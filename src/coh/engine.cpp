@@ -436,6 +436,7 @@ void CoherenceEngine::handle_l1_victim(int core, const CacheEntry& victim) {
     obs_transition(obs::Level::kL2, core, victim.line, Mesif::kInvalid,
                    obs::LineOp::kWriteback, victim.state);
     auto ins = cc.l2.insert(victim.line, victim.state);
+    ins.entry.payload() = victim.payload;  // the L3 way hint travels along
     if (ins.victim) handle_l2_victim(core, *ins.victim);
   }
   // Clean lines not present in L2 are dropped: the inclusive L3 has a copy.
@@ -457,7 +458,9 @@ void CoherenceEngine::handle_l2_victim(int core, const CacheEntry& victim) {
     const int node = m_.topo.node_of_core(core);
     const int socket = m_.topo.socket_of_core(core);
     CacheArray& l3 = m_.l3_slice(socket, m_.slice_for(node, victim.line));
-    if (const CacheArray::Ref entry = l3.lookup(victim.line, /*touch=*/false)) {
+    // The victim's payload is the L3 way fill_caches recorded: one way
+    // record to check instead of a set probe (at_way verifies it).
+    if (const CacheArray::Ref entry = l3.at_way(victim.line, victim.payload)) {
       // An already-dirty-shared L3 entry (Owned) keeps its sharing state;
       // a clean entry takes the victim's dirty state (Modified, or Owned
       // under MOESI/Dragon where sharers survive).
@@ -510,31 +513,40 @@ void CoherenceEngine::fill_caches(int core, LineAddr line, const Fill& fill,
   const int local = m_.topo.local_core(core);
 
   CacheArray& l3 = m_.l3_slice(socket, m_.slice_for(node, line));
-  if (const CacheArray::Ref entry = l3.lookup(line)) {
-    entry.core_valid() |= bit_of(local);
+  CacheArray::Ref in_l3 = l3.lookup(line);
+  if (in_l3) {
+    in_l3.core_valid() |= bit_of(local);
   } else {
     obs_transition(obs::Level::kL3, node, line, Mesif::kInvalid, op,
                    fill.node_state);
     auto ins = l3.insert(line, fill.node_state);
+    in_l3 = ins.entry;
     if (ins.victim) handle_l3_victim(socket, node, *ins.victim);
-    ins.entry.core_valid() = bit_of(local);
+    in_l3.core_valid() = bit_of(local);
   }
+  // The core copies keep their L3 way in the payload byte, which nothing
+  // else uses below the L3, so a dirty L2 victim finds its L3 entry
+  // without a set probe (handle_l2_victim).
+  const std::uint8_t l3_way = l3.way_index(in_l3);
 
   CoreCaches& cc = m_.cores[static_cast<std::size_t>(core)];
   if (const CacheArray::Ref in_l2 = cc.l2.lookup(line)) {
     obs_transition(obs::Level::kL2, core, line, in_l2.state(), op,
                    fill.core_state);
     in_l2.state() = fill.core_state;
+    in_l2.payload() = l3_way;
   } else {
     obs_transition(obs::Level::kL2, core, line, Mesif::kInvalid, op,
                    fill.core_state);
     auto ins = cc.l2.insert(line, fill.core_state);
+    ins.entry.payload() = l3_way;
     if (ins.victim) handle_l2_victim(core, *ins.victim);
   }
   if (!cc.l1.contains(line)) {
     obs_transition(obs::Level::kL1, core, line, Mesif::kInvalid, op,
                    fill.core_state);
     auto ins = cc.l1.insert(line, fill.core_state);
+    ins.entry.payload() = l3_way;
     if (ins.victim) handle_l1_victim(core, *ins.victim);
   } else if (is_dirty(fill.core_state)) {
     const CacheArray::Ref e1 = cc.l1.lookup(line);
@@ -602,6 +614,7 @@ AccessResult CoherenceEngine::read_impl(int core, PhysAddr addr) {
     obs_transition(obs::Level::kL1, core, line, Mesif::kInvalid,
                    obs::LineOp::kLocalRead, e2.state());
     auto ins = cc.l1.insert(line, e2.state());
+    ins.entry.payload() = e2.payload();  // the L3 way hint
     if (ins.victim) handle_l1_victim(core, *ins.victim);
     m_.counters.bump(Ctr::kLoadsL2Hit);
     if (tracer_ != nullptr) {
@@ -1110,6 +1123,7 @@ AccessResult CoherenceEngine::write_impl(int core, PhysAddr addr) {
       obs_transition(obs::Level::kL1, core, line, Mesif::kInvalid,
                      obs::LineOp::kLocalStore, Mesif::kModified);
       auto ins = cc.l1.insert(line, Mesif::kModified);
+      ins.entry.payload() = e2.payload();  // the L3 way hint
       if (ins.victim) handle_l1_victim(core, *ins.victim);
       cc.l2.lookup(line).state() = Mesif::kShared;  // newest copy now in L1
       m_.counters.bump(Ctr::kLoadsL2Hit);

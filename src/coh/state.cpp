@@ -1,5 +1,6 @@
 #include "coh/state.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -87,6 +88,23 @@ MachineState::MachineState(const TopologyConfig& topo_config,
     for (int imc = 0; imc < d.imc_count(); ++imc) {
       socket_agents.emplace_back(geometry);
     }
+  }
+
+  // The arrays above accepted the geometry: every set count is a power of
+  // two, and so is every node's channel count.
+  const auto sets = [](std::uint64_t bytes, unsigned assoc) {
+    return bytes / (static_cast<std::uint64_t>(assoc) * kLineSize);
+  };
+  line_classes_ = std::min(
+      {sets(geometry.l1_bytes, geometry.l1_assoc),
+       sets(geometry.l2_bytes, geometry.l2_assoc),
+       sets(geometry.l3_slice_bytes, geometry.l3_assoc),
+       sets(std::uint64_t{geometry.hitme.entries} * kLineSize,
+            geometry.hitme.associativity)});
+  for (const NumaNode& n : topo.nodes()) {
+    line_classes_ = std::min(
+        line_classes_,
+        home_decode_[static_cast<std::size_t>(n.id)].node_channel_mask + 1);
   }
 
   core_to_ca_hops_.resize(static_cast<std::size_t>(n_cores));

@@ -165,6 +165,13 @@ class MachineState {
     return agents.size() * imcs * geometry.channels_per_imc;
   }
 
+  // Number of line classes `line & (line_classes() - 1)` that share no
+  // mutable state but counters and the directory: no L1, L2, L3-slice or
+  // HitME set and no DRAM channel holds lines of two classes.  The least
+  // of the node channel counts and those set counts (all powers of two).
+  // Placement visits the classes one after another (core/placement.cpp).
+  [[nodiscard]] std::uint64_t line_classes() const { return line_classes_; }
+
   // Runs one structural census (every cache array's valid-way bitmask, the
   // HitME caches, the directories) and refreshes the registry's occupancy
   // gauges.  Called by the engine at sampling ticks and at detach.
@@ -223,6 +230,7 @@ class MachineState {
     return static_cast<std::size_t>(a) * kMaxNodes + static_cast<std::size_t>(b);
   }
 
+  std::uint64_t line_classes_ = 1;
   std::vector<double> core_to_ca_hops_;
   std::vector<double> ca_to_imc_hops_;
   std::vector<double> qpi_to_imc_hops_;

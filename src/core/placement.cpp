@@ -1,6 +1,7 @@
 #include "core/placement.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 
 #include "util/rng.h"
@@ -36,18 +37,33 @@ void place(System& system, const MemRegion& region, const Placement& placement,
 
 void place_lines(System& system, std::span<const LineAddr> order,
                  const Placement& placement) {
-  // 1. Establish the owner's copy in the requested state.
-  for (LineAddr line : order) system.write(placement.owner_core, addr_of(line));
-  if (placement.state == Mesif::kExclusive ||
-      placement.state == Mesif::kShared) {
-    for (LineAddr line : order) system.flush_line(addr_of(line));
-    for (LineAddr line : order) system.read(placement.owner_core, addr_of(line));
-  }
-
-  // 2. Spread shared copies; the last reader's node receives Forward.
-  if (placement.state == Mesif::kShared) {
-    for (int sharer : placement.sharers) {
-      for (LineAddr line : order) system.read(sharer, addr_of(line));
+  // The passes run one line class at a time (see DESIGN.md, "Channel-major
+  // placement"): lines of different classes share no cache set and no DRAM
+  // channel, so only the order within a class is observable, and each
+  // class keeps its chase order.  A class's state is a fraction of the
+  // machine's metadata, which the host caches hold better.  An attached
+  // observer would see the reordering, so placement runs detached.
+  assert(system.tracer() == nullptr && system.metrics() == nullptr &&
+         system.linestats() == nullptr && "placement runs detached");
+  const LineAddr classes = system.state().line_classes();
+  for (LineAddr cls = 0; cls < classes; ++cls) {
+    const auto each = [&](auto&& op) {
+      for (LineAddr line : order) {
+        if ((line & (classes - 1)) == cls) op(addr_of(line));
+      }
+    };
+    // 1. Establish the owner's copy in the requested state.
+    each([&](PhysAddr addr) { system.write(placement.owner_core, addr); });
+    if (placement.state == Mesif::kExclusive ||
+        placement.state == Mesif::kShared) {
+      each([&](PhysAddr addr) { system.flush_line(addr); });
+      each([&](PhysAddr addr) { system.read(placement.owner_core, addr); });
+    }
+    // 2. Spread shared copies; the last reader's node receives Forward.
+    if (placement.state == Mesif::kShared) {
+      for (int sharer : placement.sharers) {
+        each([&](PhysAddr addr) { system.read(sharer, addr); });
+      }
     }
   }
 

@@ -50,9 +50,14 @@ struct Placement {
 void place(System& system, const MemRegion& region, const Placement& placement,
            std::uint64_t seed = 1);
 
-// Applies `placement` to exactly the given lines, in the given order.  The
-// experiments use this with their already-computed chase order so the
-// permutation is derived once per measurement instead of once per pass.
+// Applies `placement` to exactly the given lines.  The experiments use
+// this with their already-computed chase order so the permutation is
+// derived once per measurement instead of once per pass.  Lines are
+// visited one channel class (MachineState::line_classes()) at a time, in
+// the given order within each class; classes share no cache set and no
+// DRAM channel, so the result is the one the plain given order produces,
+// and the order each channel's row buffers see is unchanged.  The System
+// must have no tracer, metrics registry or line recorder attached.
 void place_lines(System& system, std::span<const LineAddr> order,
                  const Placement& placement);
 

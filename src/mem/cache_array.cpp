@@ -116,6 +116,7 @@ CacheArray::InsertResult CacheArray::insert(LineAddr line, Mesif state) {
     // Free way available: its index is one bit scan away, no tag walk and
     // no victim scan (the first invalid way, matching a serial search).
     target = static_cast<std::size_t>(std::countr_one(valid));
+    ++valid_lines_;
     if (valid == 0 && ranks_ != nullptr) {
       std::memcpy(ranks_ + idx * pstride_, rank_reset_.data(), pstride_);
     }
@@ -137,15 +138,8 @@ std::optional<CacheEntry> CacheArray::erase(LineAddr line) {
   if (match == 0) return std::nullopt;
   const auto w = static_cast<std::size_t>(std::countr_zero(match));
   valid_mask_[idx] &= ~(std::uint64_t{1} << w);
+  --valid_lines_;
   return entry_of(ways_[idx * assoc_ + w]);
-}
-
-std::size_t CacheArray::valid_count() const {
-  std::size_t n = 0;
-  for (const std::uint64_t mask : valid_mask_) {
-    n += static_cast<std::size_t>(std::popcount(mask));
-  }
-  return n;
 }
 
 CacheArray::Census CacheArray::census() const {

@@ -3,8 +3,8 @@
 // A purely functional model (no data payloads — the simulator only tracks
 // placement and coherence state).  One class serves L1D, L2, L3 slices and
 // the HitME directory cache; the per-line metadata carries the MESIF state,
-// the core-valid bit vector (used by L3/CBo), and a small payload byte (used
-// by the HitME cache for its presence vector).
+// the core-valid bit vector (used by L3/CBo), and a small payload byte (the
+// HitME cache's presence vector; in L1/L2, the way of the line's L3 copy).
 //
 // Replacement is true LRU by default; tree-PLRU is available to study how
 // far the approximation changes eviction patterns (the L3 uses an
@@ -36,6 +36,10 @@
 // writes nor page-faults in the bulk of each new System's metadata.
 // lookup() and the scan helpers are header-inline because they dominate
 // the whole simulator's profile.
+//
+// The array also counts its valid lines.  A probe of an empty array (a
+// peer node's L3 during placement on a fresh System) is a miss without a
+// load of any set metadata, and valid_count() is O(1).
 #pragma once
 
 #include <array>
@@ -70,7 +74,7 @@ struct CacheEntry {
   LineAddr line = 0;
   Mesif state = Mesif::kInvalid;
   std::uint32_t core_valid = 0;  // CBo core-valid bits (L3 only)
-  std::uint8_t payload = 0;      // HitME presence vector
+  std::uint8_t payload = 0;      // HitME presence vector / L3 way hint
 };
 
 class CacheArray {
@@ -127,6 +131,25 @@ class CacheArray {
     return Ref{ways_ + idx * assoc_ + w};
   }
 
+  // Recency-neutral lookup through a way hint: returns the line's way
+  // `way` when that way is valid and holds `line`, and otherwise falls back
+  // to lookup(line, /*touch=*/false).  A stale or out-of-range hint is
+  // therefore never wrong, only slower.
+  Ref at_way(LineAddr line, unsigned way) {
+    const std::size_t idx = set_index(line);
+    if (way < assoc_ && ((valid_mask_[idx] >> way) & 1) != 0) {
+      Way* const w = ways_ + idx * assoc_ + way;
+      if (w->tag == line) return Ref{w};
+    }
+    return lookup(line, /*touch=*/false);
+  }
+  // Way index of a resident line's record (the hint at_way takes).
+  [[nodiscard]] std::uint8_t way_index(Ref ref) const {
+    return static_cast<std::uint8_t>(
+        static_cast<std::size_t>(ref.way_ - ways_) -
+        set_index(ref.line()) * assoc_);
+  }
+
   [[nodiscard]] std::optional<CacheEntry> peek(LineAddr line) const {
     const std::size_t idx = set_index(line);
     const std::uint64_t match = match_mask(idx, line);
@@ -153,8 +176,11 @@ class CacheArray {
   // Invalidates everything, invoking `on_evict` for each valid entry
   // (used by the benchmark's cache-flush placement step).  Templated on the
   // callable so per-flush std::function allocation never happens.
+  // `on_evict` may erase lines of this array (an L3 victim's
+  // back-invalidation); the count drops by what is left of each set.
   template <typename OnEvict>
   void flush(OnEvict&& on_evict) {
+    if (valid_lines_ == 0) return;
     for (std::size_t idx = 0; idx < set_count_; ++idx) {
       std::uint64_t mask = valid_mask_[idx];
       while (mask != 0) {
@@ -162,11 +188,12 @@ class CacheArray {
         mask &= mask - 1;
         on_evict(entry_of(ways_[idx * assoc_ + w]));
       }
+      valid_lines_ -= static_cast<std::size_t>(std::popcount(valid_mask_[idx]));
       valid_mask_[idx] = 0;
     }
   }
 
-  [[nodiscard]] std::size_t valid_count() const;
+  [[nodiscard]] std::size_t valid_count() const { return valid_lines_; }
 
   // One structural-census pass: per-line-state counts plus the
   // core-valid-filter population, walking only the valid-way bitmasks
@@ -211,6 +238,7 @@ class CacheArray {
       std::size_t idx, LineAddr line) const {
     constexpr std::uint64_t kLanes = 0x0101010101010101ull;
     constexpr std::uint64_t kHighBits = 0x8080808080808080ull;
+    if (valid_lines_ == 0) return 0;
     const std::uint64_t valid = valid_mask_[idx];
     if (valid == 0) return 0;
     const std::uint64_t splat = kLanes * ptag_of(line);
@@ -297,6 +325,8 @@ class CacheArray {
   // contains, and insert's free-way scan (one countr_one instead of a tag
   // walk).
   std::vector<std::uint64_t> valid_mask_;
+  // Valid lines in the whole array (the popcount of valid_mask_).
+  std::size_t valid_lines_ = 0;
   // Tree-PLRU state: one bit-tree per set, stored as an integer of
   // (assoc-1) bits (assoc must be a power of two for PLRU).
   std::vector<std::uint32_t> plru_;

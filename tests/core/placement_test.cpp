@@ -117,5 +117,28 @@ TEST_F(PlacementTest, MemoryLevelLeavesNothingCached) {
   }
 }
 
+TEST_F(PlacementTest, DropAllCachesEmptiesEveryArray) {
+  const MemRegion region = sys_.alloc_on_node(1, 64 * 1024);
+  place(sys_, region, Placement{.owner_core = 1, .memory_node = 1,
+                                .state = Mesif::kShared, .sharers = {13},
+                                .level = CacheLevel::kL1L2});
+  const MachineState& m = sys_.state();
+  EXPECT_EQ(m.cores[1].l2.valid_count(), region.line_count());
+  EXPECT_EQ(m.cores[13].l2.valid_count(), region.line_count());
+  std::size_t l3_lines = 0;
+  for (const auto& socket : m.l3) {
+    for (const CacheArray& slice : socket) l3_lines += slice.valid_count();
+  }
+  EXPECT_EQ(l3_lines, 2 * region.line_count());  // one copy per node
+  sys_.drop_all_caches();
+  for (const CoreCaches& cc : m.cores) {
+    EXPECT_EQ(cc.l1.valid_count(), 0u);
+    EXPECT_EQ(cc.l2.valid_count(), 0u);
+  }
+  for (const auto& socket : m.l3) {
+    for (const CacheArray& slice : socket) EXPECT_EQ(slice.valid_count(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace hsw

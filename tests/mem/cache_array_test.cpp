@@ -267,5 +267,84 @@ TEST(CacheArray, PayloadAndCoreValidPersist) {
   EXPECT_EQ(cache.lookup(3).payload(), 0x5a);
 }
 
+// The maintained valid-line count against the lines a probe finds, across
+// inserts (with and without a victim), erases (hit and miss) and flushes.
+TEST(CacheArray, ValidCountTracksInsertEraseAndFlush) {
+  CacheArray cache = tiny();
+  const auto resident = [&] {
+    std::size_t n = 0;
+    for (LineAddr line = 0; line < 64; ++line) n += cache.contains(line);
+    return n;
+  };
+  EXPECT_EQ(cache.valid_count(), 0u);
+  for (LineAddr line = 0; line < 12; ++line) {  // the last 4 evict
+    cache.insert(line, Mesif::kExclusive);
+    EXPECT_EQ(cache.valid_count(), resident()) << "insert " << line;
+  }
+  EXPECT_EQ(cache.valid_count(), 8u);
+  EXPECT_TRUE(cache.erase(11).has_value());
+  EXPECT_FALSE(cache.erase(11).has_value());  // a miss changes nothing
+  EXPECT_FALSE(cache.erase(40).has_value());
+  EXPECT_EQ(cache.valid_count(), 7u);
+  EXPECT_EQ(cache.census().valid, 7u);
+  cache.flush([](const CacheEntry&) {});
+  EXPECT_EQ(cache.valid_count(), 0u);
+  EXPECT_EQ(resident(), 0u);
+  cache.flush([](const CacheEntry&) { ADD_FAILURE() << "empty flush evicted"; });
+  cache.insert(3, Mesif::kModified);
+  EXPECT_EQ(cache.valid_count(), 1u);
+}
+
+// A flush callback may erase lines of the array being flushed (an L3
+// victim's back-invalidation of a core cache); the count stays exact.
+TEST(CacheArray, ValidCountSurvivesEraseDuringFlush) {
+  CacheArray cache = tiny();
+  for (LineAddr line = 0; line < 8; ++line) cache.insert(line, Mesif::kShared);
+  std::size_t evicted = 0;
+  cache.flush([&](const CacheEntry& e) {
+    ++evicted;
+    if (e.line == 0) cache.erase(7);  // a set not yet flushed
+  });
+  EXPECT_EQ(evicted, 7u);
+  EXPECT_EQ(cache.valid_count(), 0u);
+  cache.insert(9, Mesif::kShared);
+  EXPECT_EQ(cache.valid_count(), 1u);
+}
+
+TEST(CacheArray, AtWayFindsTheLineThroughAnyHint) {
+  CacheArray cache = tiny();
+  cache.insert(1, Mesif::kExclusive);  // set 1, way 0
+  cache.insert(5, Mesif::kModified);   // set 1, way 1
+  const CacheArray::Ref ref = cache.lookup(5, /*touch=*/false);
+  ASSERT_TRUE(ref);
+  const unsigned way = cache.way_index(ref);
+  EXPECT_EQ(way, 1u);
+  EXPECT_EQ(cache.way_index(cache.lookup(1, /*touch=*/false)), 0u);
+  // The right hint, a way holding another tag, and an out-of-range way all
+  // reach the same record.
+  for (unsigned hint : {way, 0u, 2u, 255u}) {
+    const CacheArray::Ref at = cache.at_way(5, hint);
+    ASSERT_TRUE(at) << "hint " << hint;
+    EXPECT_EQ(at.line(), 5u);
+    at.core_valid() = hint;
+    EXPECT_EQ(ref.core_valid(), hint);
+  }
+  // An invalid way: the hint's record still holds the erased tag.
+  cache.erase(5);
+  EXPECT_FALSE(cache.at_way(5, way));
+  EXPECT_FALSE(cache.at_way(5, 255));
+}
+
+TEST(CacheArray, AtWayMissesAbsentLinesAndKeepsRecency) {
+  CacheArray cache = tiny();
+  cache.insert(2, Mesif::kShared);  // set 2, way 0, LRU once way 1 fills
+  cache.insert(6, Mesif::kShared);  // set 2, way 1
+  EXPECT_FALSE(cache.at_way(10, 0));  // same set, wrong tag at every way
+  EXPECT_FALSE(cache.at_way(10, 1));
+  EXPECT_FALSE(cache.at_way(3, 0));  // empty set
+  ASSERT_TRUE(cache.at_way(2, 0));
+  EXPECT_EQ(cache.replacement_victim(2)->line, 2u);  // no touch
+}
+
 }  // namespace
 }  // namespace hsw
