@@ -111,14 +111,14 @@ std::string render_metrics_section(const MergedMetrics& m) {
             static_cast<int>(name.size()), name.data(),
             static_cast<unsigned long long>(hist.total()));
     bool first = true;
-    for (const auto& [key, count] : hist.buckets()) {
+    hist.for_each_bucket([&](int key, std::uint64_t count) {
       appendf(out,
               "%s\n          {\"lo\": %.6f, \"hi\": %.6f, \"count\": %llu}",
               first ? "" : ",", LogHistogram::bucket_lower(key),
               LogHistogram::bucket_upper(key),
               static_cast<unsigned long long>(count));
       first = false;
-    }
+    });
     appendf(out, "%s]\n      }%s\n", first ? "" : "\n        ",
             i + 1 < kMHistCount ? "," : "");
   }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
+#include <stdexcept>
+#include <utility>
 
 #include "util/json.h"
 
@@ -100,9 +103,42 @@ void LineStatsRecorder::close_episode(LineRecord& record, bool handoff) {
   record.episode_has_write = false;
 }
 
+LineStatsRecorder::Slot& LineStatsRecorder::slot_of(LineAddr line) {
+  if ((lines_.size() + 1) * 4 > slots_.size() * 3) grow();
+  std::size_t i = home_slot(line);
+  for (; slots_[i].record != kNone; i = (i + 1) & (slots_.size() - 1)) {
+    if (slots_[i].line == line) return slots_[i];
+  }
+  slots_[i] = Slot{line, static_cast<std::uint32_t>(lines_.size()), kNone};
+  lines_.push_back(LineEntry{line, LineRecord{}});
+  return slots_[i];
+}
+
+void LineStatsRecorder::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const std::size_t capacity = old.empty() ? 64 : old.size() * 2;
+  slots_.assign(capacity, Slot{});
+  hash_shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  for (const Slot& slot : old) {
+    if (slot.record == kNone) continue;
+    std::size_t i = home_slot(slot.line);
+    while (slots_[i].record != kNone) i = (i + 1) & (capacity - 1);
+    slots_[i] = slot;
+  }
+}
+
+const LineRecord* LineStatsRecorder::find(LineAddr line) const {
+  if (slots_.empty()) return nullptr;
+  for (std::size_t i = home_slot(line);; i = (i + 1) & (slots_.size() - 1)) {
+    const Slot& slot = slots_[i];
+    if (slot.record == kNone) return nullptr;
+    if (slot.line == line) return &lines_[slot.record].record;
+  }
+}
+
 void LineStatsRecorder::on_access(int core, LineAddr line, bool is_write,
                                   double ns) {
-  LineRecord& record = lines_[line];
+  LineRecord& record = lines_[slot_of(line).record].record;
   if (is_write) {
     record.writes += 1;
   } else {
@@ -125,7 +161,8 @@ void LineStatsRecorder::on_transition(Level level, int unit, LineAddr line,
   transitions_[transition_index(level, from, op, to)] += 1;
   if (level != Level::kL3) return;
 
-  LineRecord& record = lines_[line];
+  Slot& slot = slot_of(line);
+  LineRecord& record = lines_[slot.record].record;
   // Contention received: the cross-node traffic the top-N ranking keys on.
   if (op == LineOp::kSnoopInvalidate && from != Mesif::kInvalid) {
     record.invalidations += 1;
@@ -136,32 +173,85 @@ void LineStatsRecorder::on_transition(Level level, int unit, LineAddr line,
   }
 
   // Residency: close the open interval for this (line, node) L3 entry at
-  // the current clock, then open one for the new state.
-  const std::uint64_t key = line * kMaxNodes + static_cast<unsigned>(unit);
-  const auto it = l3_residency_.find(key);
-  if (it != l3_residency_.end()) {
-    record.residency_ns[protocol::idx(it->second.state)] += now_ - it->second.mark;
+  // the current clock, then open one for the new state.  Links are indices,
+  // never pointers: opening an interval may grow the pool.
+  assert(static_cast<unsigned>(unit) < kMaxNodes);
+  std::uint32_t* link = &slot.open;
+  while (*link != kNone && intervals_[*link].node != unit) {
+    link = &intervals_[*link].next;
+  }
+  if (*link != kNone) {
+    Interval& open = intervals_[*link];
+    record.residency_ns[protocol::idx(open.state)] += now_ - open.mark;
     if (to == Mesif::kInvalid) {
-      l3_residency_.erase(it);
+      const std::uint32_t closed = *link;
+      *link = open.next;
+      open.next = free_interval_;
+      free_interval_ = closed;
     } else {
-      it->second = Residency{to, now_};
+      open.state = to;
+      open.mark = now_;
     }
   } else if (to != Mesif::kInvalid) {
-    l3_residency_[key] = Residency{to, now_};
+    const Interval opened{now_, slot.open, static_cast<std::uint8_t>(unit), to};
+    if (free_interval_ != kNone) {
+      slot.open = free_interval_;
+      free_interval_ = intervals_[free_interval_].next;
+      intervals_[slot.open] = opened;
+    } else {
+      slot.open = static_cast<std::uint32_t>(intervals_.size());
+      intervals_.push_back(opened);
+    }
   }
 }
 
 void LineStatsRecorder::finalize() {
-  if (finalized_) return;
-  finalized_ = true;
-  for (auto& [line, record] : lines_) {
-    close_episode(record, /*handoff=*/false);
+  if (!finalized_) {
+    finalized_ = true;
+    for (LineEntry& entry : lines_) {
+      close_episode(entry.record, /*handoff=*/false);
+    }
+    for (Slot& slot : slots_) {
+      if (slot.open == kNone) continue;
+      std::array<std::uint32_t, kMaxNodes> by_node;
+      by_node.fill(kNone);
+      for (std::uint32_t i = slot.open; i != kNone; i = intervals_[i].next) {
+        by_node[intervals_[i].node] = i;
+      }
+      LineRecord& record = lines_[slot.record].record;
+      for (const std::uint32_t i : by_node) {
+        if (i == kNone) continue;
+        record.residency_ns[protocol::idx(intervals_[i].state)] +=
+            now_ - intervals_[i].mark;
+      }
+      slot.open = kNone;
+    }
+    intervals_.clear();
+    free_interval_ = kNone;
   }
-  for (const auto& [key, open] : l3_residency_) {
-    lines_[key / kMaxNodes].residency_ns[protocol::idx(open.state)] +=
-        now_ - open.mark;
+  sort_lines();
+}
+
+void LineStatsRecorder::sort_lines() {
+  if (sorted_lines_ == lines_.size()) return;
+  std::vector<std::pair<LineAddr, std::uint32_t>> order;
+  order.reserve(lines_.size());
+  for (std::uint32_t i = 0; i < lines_.size(); ++i) {
+    order.emplace_back(lines_[i].line, i);
   }
-  l3_residency_.clear();
+  std::sort(order.begin(), order.end());
+  std::vector<LineEntry> sorted;
+  sorted.reserve(lines_.size());
+  std::vector<std::uint32_t> position(lines_.size());
+  for (const auto& [line, i] : order) {
+    position[i] = static_cast<std::uint32_t>(sorted.size());
+    sorted.push_back(lines_[i]);
+  }
+  for (Slot& slot : slots_) {
+    if (slot.record != kNone) slot.record = position[slot.record];
+  }
+  lines_ = std::move(sorted);
+  sorted_lines_ = lines_.size();
 }
 
 MergedLineStats merge_streams(
@@ -170,34 +260,65 @@ MergedLineStats merge_streams(
   m.streams = in_stream_order.size();
   if (in_stream_order.empty()) return m;
   m.protocol = in_stream_order.front()->protocol();
-  for (const LineStatsRecorder* recorder : in_stream_order) {
-    const LineStatsRecorder& r = *recorder;
+
+  // Top-line candidates, ranked by contention, then accesses, then
+  // (stream, line); the input position breaks the last tie, so the order
+  // is strict and total.
+  struct Candidate {
+    std::uint64_t contention;
+    std::uint64_t accesses;
+    std::uint32_t stream;
+    std::uint32_t position;
+    LineAddr line;
+    const LineRecord* record;
+  };
+  std::vector<Candidate> candidates;
+  for (std::size_t k = 0; k < in_stream_order.size(); ++k) {
+    const LineStatsRecorder& r = *in_stream_order[k];
+    if (!r.finalized_ || r.sorted_lines_ != r.lines_.size()) {
+      throw std::logic_error("merge_streams: the recorder of stream " +
+                             std::to_string(r.stream()) +
+                             " is not finalized");
+    }
     m.accesses += r.accesses();
     for (std::size_t c = 0; c < LineStatsRecorder::kTransitionCells; ++c) {
       m.transitions[c] += r.transitions_[c];
     }
-    for (const auto& [line, record] : r.lines()) {
+    for (const LineEntry& entry : r.lines()) {
+      const LineRecord& record = entry.record;
       m.lines_tracked += 1;
       m.patterns[static_cast<std::size_t>(classify(record))] += 1;
       for (std::size_t s = 0; s < protocol::kStateCount; ++s) {
         m.residency_ns[s] += record.residency_ns[s];
       }
-      m.top_lines.push_back(TopLine{r.stream(), line, classify(record), record});
+      candidates.push_back(Candidate{record.contention(),
+                                     record.reads + record.writes, r.stream(),
+                                     static_cast<std::uint32_t>(k), entry.line,
+                                     &record});
     }
   }
 
-  std::stable_sort(m.top_lines.begin(), m.top_lines.end(),
-                   [](const TopLine& a, const TopLine& b) {
-                     if (a.record.contention() != b.record.contention()) {
-                       return a.record.contention() > b.record.contention();
-                     }
-                     const std::uint64_t at = a.record.reads + a.record.writes;
-                     const std::uint64_t bt = b.record.reads + b.record.writes;
-                     if (at != bt) return at > bt;
-                     if (a.stream != b.stream) return a.stream < b.stream;
-                     return a.line < b.line;
-                   });
-  if (m.top_lines.size() > kTopLines) m.top_lines.resize(kTopLines);
+  const std::size_t keep = std::min(kTopLines, candidates.size());
+  std::partial_sort(candidates.begin(),
+                    candidates.begin() + static_cast<std::ptrdiff_t>(keep),
+                    candidates.end(),
+                    [](const Candidate& a, const Candidate& b) {
+                      if (a.contention != b.contention) {
+                        return a.contention > b.contention;
+                      }
+                      if (a.accesses != b.accesses) {
+                        return a.accesses > b.accesses;
+                      }
+                      if (a.stream != b.stream) return a.stream < b.stream;
+                      if (a.line != b.line) return a.line < b.line;
+                      return a.position < b.position;
+                    });
+  m.top_lines.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) {
+    const Candidate& c = candidates[i];
+    m.top_lines.push_back(
+        TopLine{c.stream, c.line, classify(*c.record), *c.record});
+  }
   return m;
 }
 

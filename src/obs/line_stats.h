@@ -33,14 +33,19 @@
 // set_now() with its event-queue timestamps, so residency reflects the
 // interleaved schedule.
 //
+// Storage: a flat open-addressing table of line slots indexes a dense
+// vector of line records, and the open L3 residency intervals live in one
+// pool, chained per slot.  finalize() closes each line's open intervals in
+// node order and sorts the records by line, so every floating-point sum
+// runs in line and node order, whatever order the lines were first seen in.
+//
 // LineStatsHub is the generic StreamHub (util/stream_hub.h) over these
-// recorders; merge_streams() below is its stream-order fold, so reports are
-// byte-identical for any --jobs value.
+// recorders; merge_streams() below is its stream-order fold over finalized
+// recorders, so reports are byte-identical for any --jobs value.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -138,6 +143,12 @@ struct LineRecord {
 // episode; classifying a live record undercounts the final episode).
 [[nodiscard]] SharingPattern classify(const LineRecord& record);
 
+// One tracked line of a recorder.
+struct LineEntry {
+  LineAddr line = 0;
+  LineRecord record;
+};
+
 struct MergedLineStats;
 
 // Per-measured-section recorder.  Single-threaded like the engine that
@@ -165,17 +176,21 @@ class LineStatsRecorder {
   void on_transition(Level level, int unit, LineAddr line, Mesif from,
                      LineOp op, Mesif to);
 
-  // Closes open episodes and open residency intervals at the current clock.
-  // Idempotent; System::detach_linestats and StreamHub::absorb call it.
+  // Closes open episodes and open residency intervals at the current clock
+  // and sorts the tracked lines by address.  Only the first call closes
+  // anything; a later call re-sorts lines first seen since the previous
+  // one.  System::detach_linestats and StreamHub::absorb call it.
   void finalize();
 
   [[nodiscard]] Protocol protocol() const { return protocol_; }
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
   [[nodiscard]] double now() const { return now_; }
   [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
-  [[nodiscard]] const std::map<LineAddr, LineRecord>& lines() const {
-    return lines_;
-  }
+  // Tracked lines, sorted by address once finalize() has run (and until
+  // the next line is first seen).
+  [[nodiscard]] std::span<const LineEntry> lines() const { return lines_; }
+  // The record of `line`, or nullptr if the line was never tracked.
+  [[nodiscard]] const LineRecord* find(LineAddr line) const;
   [[nodiscard]] std::uint64_t transitions(Level level, Mesif from, LineOp op,
                                           Mesif to) const {
     return transitions_[transition_index(level, from, op, to)];
@@ -198,7 +213,33 @@ class LineStatsRecorder {
   friend MergedLineStats merge_streams(
       std::span<const LineStatsRecorder* const> in_stream_order);
 
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  // A line-table slot: the line, its record's index in lines_ (kNone marks
+  // an empty slot) and the first of its open L3 intervals.
+  struct Slot {
+    LineAddr line = 0;
+    std::uint32_t record = kNone;
+    std::uint32_t open = kNone;
+  };
+  // An open L3 residency interval of one (line, node) entry; `next` links
+  // the line's chain, or the free list once closed.
+  struct Interval {
+    double mark = 0.0;
+    std::uint32_t next = kNone;
+    std::uint8_t node = 0;
+    Mesif state = Mesif::kInvalid;
+  };
+
   void close_episode(LineRecord& record, bool handoff);
+  [[nodiscard]] std::size_t home_slot(LineAddr line) const {
+    return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ull) >>
+                                    hash_shift_);
+  }
+  // The slot of `line`, tracking the line first if it is new.
+  Slot& slot_of(LineAddr line);
+  void grow();
+  void sort_lines();
 
   Protocol protocol_;
   const protocol::ProtocolPolicy* pol_;
@@ -207,14 +248,13 @@ class LineStatsRecorder {
   bool external_clock_ = false;
   bool finalized_ = false;
   std::uint64_t accesses_ = 0;
-  std::map<LineAddr, LineRecord> lines_;
+  std::vector<LineEntry> lines_;
+  std::size_t sorted_lines_ = 0;  // lines_ is sorted while this == size()
+  std::vector<Slot> slots_;       // power-of-two size, load at most 3/4
+  unsigned hash_shift_ = 64;      // 64 - log2(slots_.size())
+  std::vector<Interval> intervals_;
+  std::uint32_t free_interval_ = kNone;
   std::array<std::uint64_t, kTransitionCells> transitions_{};
-  // Open L3 residency intervals, keyed line * kMaxNodes + node.
-  struct Residency {
-    Mesif state = Mesif::kInvalid;
-    double mark = 0.0;
-  };
-  std::map<std::uint64_t, Residency> l3_residency_;
 };
 
 // One ranked line in a merged report (lines from different streams are
@@ -244,7 +284,8 @@ struct MergedLineStats {
   }
 };
 
-// Folds finalized recorders in stream-id order (the LineStatsHub merge).
+// Folds finalized recorders in stream-id order (the LineStatsHub merge);
+// throws std::logic_error on a recorder that is not finalized.
 [[nodiscard]] MergedLineStats merge_streams(
     std::span<const LineStatsRecorder* const> in_stream_order);
 

@@ -142,12 +142,12 @@ std::string render_resources_section(const MergedResourceStats& m) {
             m.littles_depth(r));
     appendf(out, "       \"wait_hist\": [");
     bool first = true;
-    for (const auto& [key, count] : u.wait_hist.buckets()) {
+    u.wait_hist.for_each_bucket([&](int key, std::uint64_t count) {
       appendf(out, "%s[%.6f, %.6f, %llu]", first ? "" : ", ",
               LogHistogram::bucket_lower(key), LogHistogram::bucket_upper(key),
               static_cast<unsigned long long>(count));
       first = false;
-    }
+    });
     appendf(out, "],\n");
     appendf(out, "       \"depth_series\": [");
     for (std::size_t i = 0; i < u.depth_series.size(); ++i) {

@@ -57,7 +57,7 @@ double Accumulator::percentile(double q) const {
 }
 
 int LogHistogram::bucket_of(double x) {
-  if (!(x > 0.0)) return std::numeric_limits<int>::min();  // underflow bucket
+  if (!(x > 0.0)) return kUnderflowKey;
   int exp = 0;
   const double frac = std::frexp(x, &exp);  // frac in [0.5, 1)
   auto sub = static_cast<int>((frac - 0.5) * (2 * kSubBuckets));
@@ -66,7 +66,7 @@ int LogHistogram::bucket_of(double x) {
 }
 
 double LogHistogram::bucket_lower(int key) {
-  if (key == std::numeric_limits<int>::min()) return 0.0;
+  if (key == kUnderflowKey) return 0.0;
   // Floor division so negative exponents (sub-nanosecond values) map back
   // to the right octave.
   int exp = key / kSubBuckets;
@@ -79,17 +79,33 @@ double LogHistogram::bucket_lower(int key) {
 }
 
 double LogHistogram::bucket_upper(int key) {
-  if (key == std::numeric_limits<int>::min()) return 0.0;
+  if (key == kUnderflowKey) return 0.0;
   return bucket_lower(key + 1);
 }
 
-void LogHistogram::add(double x, std::uint64_t weight) {
-  buckets_[bucket_of(x)] += weight;
-  total_ += weight;
+std::uint64_t& LogHistogram::count_of(int key) {
+  if (counts_.empty()) {
+    lo_key_ = key;
+    counts_.push_back(0);
+  } else if (key < lo_key_) {
+    counts_.insert(counts_.begin(), static_cast<std::size_t>(lo_key_ - key), 0);
+    lo_key_ = key;
+  } else if (static_cast<std::size_t>(key - lo_key_) >= counts_.size()) {
+    counts_.resize(static_cast<std::size_t>(key - lo_key_) + 1, 0);
+  }
+  return counts_[static_cast<std::size_t>(key - lo_key_)];
+}
+
+void LogHistogram::add(double x) {
+  const int key = bucket_of(x);
+  ++(key == kUnderflowKey ? underflow_ : count_of(key));
+  ++total_;
 }
 
 void LogHistogram::merge(const LogHistogram& other) {
-  for (const auto& [key, count] : other.buckets_) buckets_[key] += count;
+  other.for_each_bucket([this](int key, std::uint64_t count) {
+    (key == kUnderflowKey ? underflow_ : count_of(key)) += count;
+  });
   total_ += other.total_;
 }
 
@@ -98,18 +114,23 @@ double LogHistogram::quantile(double q) const {
   q = std::clamp(q, 0.0, 1.0);
   const double target = q * static_cast<double>(total_);
   double cumulative = 0.0;
-  for (const auto& [key, count] : buckets_) {
+  bool found = false;
+  double result = 0.0;
+  int last = kUnderflowKey;
+  for_each_bucket([&](int key, std::uint64_t count) {
+    last = key;
+    if (found) return;
     const double next = cumulative + static_cast<double>(count);
     if (next >= target) {
       const double lo = bucket_lower(key);
       const double hi = bucket_upper(key);
-      const double frac =
-          count == 0 ? 0.0 : (target - cumulative) / static_cast<double>(count);
-      return lo + (hi - lo) * frac;
+      result = lo + (hi - lo) * ((target - cumulative) /
+                                 static_cast<double>(count));
+      found = true;
     }
     cumulative = next;
-  }
-  return bucket_upper(buckets_.rbegin()->first);
+  });
+  return found ? result : bucket_upper(last);
 }
 
 void Welford::add(double x) {

@@ -9,7 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <vector>
 
 namespace hsw {
@@ -50,10 +50,16 @@ class Accumulator {
 class LogHistogram {
  public:
   static constexpr int kSubBuckets = 8;  // per power of two
+  // Key of the bucket that takes every sample <= 0 (and NaN).
+  static constexpr int kUnderflowKey = std::numeric_limits<int>::min();
 
-  void add(double x, std::uint64_t weight = 1);
+  void add(double x);
   void merge(const LogHistogram& other);
-  void clear() { buckets_.clear(); total_ = 0; }
+  void clear() {
+    underflow_ = 0;
+    counts_.clear();
+    total_ = 0;
+  }
 
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] bool empty() const { return total_ == 0; }
@@ -64,13 +70,25 @@ class LogHistogram {
   // Quantile estimate via linear interpolation inside the bucket; q in
   // [0, 1].  Requires non-empty.
   [[nodiscard]] double quantile(double q) const;
-  // Sorted (key -> count); keys order by bucket lower edge.
-  [[nodiscard]] const std::map<int, std::uint64_t>& buckets() const {
-    return buckets_;
+  // Calls fn(key, count) for every nonempty bucket in key order, which is
+  // the order of bucket lower edges (the underflow bucket first).
+  template <class Fn>
+  void for_each_bucket(Fn&& fn) const {
+    if (underflow_ != 0) fn(kUnderflowKey, underflow_);
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      if (counts_[i] != 0) fn(lo_key_ + static_cast<int>(i), counts_[i]);
+    }
   }
 
  private:
-  std::map<int, std::uint64_t> buckets_;
+  // The count of `key`, widening counts_ to cover it.
+  std::uint64_t& count_of(int key);
+
+  std::uint64_t underflow_ = 0;
+  // Counts of the keys lo_key_ .. lo_key_ + size() - 1: one contiguous
+  // range between the lowest and the highest key seen.
+  std::vector<std::uint64_t> counts_;
+  int lo_key_ = 0;
   std::uint64_t total_ = 0;
 };
 

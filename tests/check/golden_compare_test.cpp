@@ -48,6 +48,7 @@ TEST(CellsMatch, NonNumericIsExact) {
 
 class CompareCsvFiles : public ::testing::Test {
  protected:
+  // ctest runs cases in parallel: every case must pass its own names.
   std::string write_file(const char* name, const std::string& content) {
     const std::string path =
         ::testing::TempDir() + "hswsim_golden_" + name + ".csv";

@@ -4,6 +4,8 @@
 // loudly instead of silently dropping the report.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 
@@ -13,9 +15,19 @@
 namespace hsw::metrics {
 namespace {
 
+// ctest runs every case as its own process, in parallel, so each case
+// writes only paths named after itself and its pid.
+std::string temp_path(const std::string& suffix) {
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "hswsim_report_" + test->name() + "_" +
+         std::to_string(::getpid()) + suffix;
+}
+
 class ReportTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "hswsim_report_test.json";
+  std::string path_;
+  void SetUp() override { path_ = temp_path(".json"); }
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
@@ -89,13 +101,15 @@ TEST_F(ReportTest, WriteThenParseRoundTrips) {
 }
 
 TEST_F(ReportTest, IdenticalInputsProduceIdenticalBytes) {
-  const std::string other = ::testing::TempDir() + "hswsim_report_test2.json";
+  const std::string other = temp_path("_2.json");
   ASSERT_TRUE(write_report(path_, sample_manifest(), sample_metrics()));
   ASSERT_TRUE(write_report(other, sample_manifest(), sample_metrics()));
 
   const auto slurp = [](const std::string& p) {
-    std::FILE* f = std::fopen(p.c_str(), "rb");
     std::string text;
+    std::FILE* f = std::fopen(p.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << "cannot read " << p;
+    if (f == nullptr) return text;
     char buf[4096];
     std::size_t n = 0;
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);

@@ -42,6 +42,7 @@ struct Kind<trace::Tracer> {
     return t;
   }
   static std::string render(const trace::MergedTrace& m) {
+    // ctest runs cases in parallel: no other case may use this path.
     const std::string path = ::testing::TempDir() + "stream_hub_trace.json";
     EXPECT_TRUE(trace::write_trace(path, m.records));
     std::ifstream in(path, std::ios::binary);

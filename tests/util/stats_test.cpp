@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace hsw {
@@ -92,6 +99,111 @@ TEST(Welford, MergeWithEmpty) {
   empty.merge(a);
   EXPECT_EQ(empty.count(), 1u);
   EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
+}
+
+// The LogHistogram as it was before its flat count range: a std::map from
+// bucket key to count, and a quantile walk over the map.
+struct MapHistogram {
+  std::map<int, std::uint64_t> buckets;
+  std::uint64_t total = 0;
+
+  void add(double x) {
+    buckets[LogHistogram::bucket_of(x)] += 1;
+    total += 1;
+  }
+  void merge(const MapHistogram& other) {
+    for (const auto& [key, count] : other.buckets) buckets[key] += count;
+    total += other.total;
+  }
+  double quantile(double q) const {
+    const double target = q * static_cast<double>(total);
+    double cumulative = 0.0;
+    for (const auto& [key, count] : buckets) {
+      const double next = cumulative + static_cast<double>(count);
+      if (next >= target) {
+        const double lo = LogHistogram::bucket_lower(key);
+        const double hi = LogHistogram::bucket_upper(key);
+        return lo + (hi - lo) * ((target - cumulative) /
+                                 static_cast<double>(count));
+      }
+      cumulative = next;
+    }
+    return LogHistogram::bucket_upper(buckets.rbegin()->first);
+  }
+};
+
+void expect_same(const LogHistogram& got, const MapHistogram& want) {
+  std::vector<std::pair<int, std::uint64_t>> seen;
+  got.for_each_bucket(
+      [&](int key, std::uint64_t count) { seen.emplace_back(key, count); });
+  EXPECT_EQ(seen, (std::vector<std::pair<int, std::uint64_t>>(
+                      want.buckets.begin(), want.buckets.end())));
+  EXPECT_EQ(got.total(), want.total);
+  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.quantile(q)),
+              std::bit_cast<std::uint64_t>(want.quantile(q)))
+        << "q " << q;
+  }
+}
+
+TEST(LogHistogramTest, MatchesTheMapHistogram) {
+  Xoshiro256 rng(7);
+  // Latency-like samples, the underflow bucket (zero, negative, NaN) and
+  // far-apart octaves that make the count range grow at both ends.
+  const auto sample = [&](int i) {
+    switch (i % 7) {
+      case 0: return 0.0;
+      case 1: return -rng.uniform();
+      case 2: return std::ldexp(rng.uniform() + 0.5, -20);
+      case 3: return std::ldexp(rng.uniform() + 0.5, 40);
+      case 4: return i % 14 == 4 ? std::numeric_limits<double>::quiet_NaN()
+                                 : 1e-300;
+      default: return 20.0 + 400.0 * rng.uniform();
+    }
+  };
+  LogHistogram a;
+  LogHistogram b;
+  MapHistogram ma;
+  MapHistogram mb;
+  for (int i = 0; i < 3000; ++i) {
+    const double x = sample(i);
+    if (i < 1000 || (i % 3 == 0 && i < 2000)) {
+      a.add(x);
+      ma.add(x);
+    } else {
+      b.add(x);
+      mb.add(x);
+    }
+  }
+  expect_same(a, ma);
+  expect_same(b, mb);
+  a.merge(b);
+  ma.merge(mb);
+  expect_same(a, ma);
+  // Merging into an empty histogram.
+  LogHistogram empty;
+  MapHistogram mempty;
+  empty.merge(b);
+  mempty.merge(mb);
+  expect_same(empty, mempty);
+  a.clear();
+  EXPECT_TRUE(a.empty());
+  std::size_t buckets = 0;
+  a.for_each_bucket([&](int, std::uint64_t) { ++buckets; });
+  EXPECT_EQ(buckets, 0u);
+}
+
+TEST(LogHistogramTest, UnderflowSortsFirst) {
+  LogHistogram h;
+  h.add(100.0);
+  h.add(0.0);
+  h.add(0.5);
+  std::vector<int> keys;
+  h.for_each_bucket([&](int key, std::uint64_t) { keys.push_back(key); });
+  ASSERT_EQ(keys.size(), 3u);
+  EXPECT_EQ(keys[0], LogHistogram::kUnderflowKey);
+  EXPECT_LT(keys[1], keys[2]);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
 }
 
 }  // namespace
