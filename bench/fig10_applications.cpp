@@ -1,9 +1,9 @@
 // Fig. 10: coherence-protocol configuration vs application performance.
 //
 // The SPEC OMP2012 / SPEC MPI2007 suites are modelled by per-application
-// memory profiles (workload/apps.h); each profile is evaluated under the
-// three configurations and the runtime relative to the default (source
-// snoop) is reported, like the paper's bars.
+// memory profiles (workload/apps.h); each of the three configurations is
+// probed once, each profile evaluated against the three sets of costs, and
+// the runtime relative to the default (source snoop) reported.
 #include <cstdio>
 
 #include "common.h"
@@ -14,9 +14,15 @@ int main(int argc, char** argv) {
       argc, argv, "Fig. 10: application performance vs coherence mode");
   hswbench::warn_untraced(args);
 
-  const hsw::SystemConfig source = hsw::SystemConfig::source_snoop();
-  const hsw::SystemConfig home = hsw::SystemConfig::home_snoop();
-  const hsw::SystemConfig cod = hsw::SystemConfig::cluster_on_die();
+  // One probe per configuration into its own slot: no output moves with --jobs.
+  const hsw::SystemConfig configs[] = {hsw::SystemConfig::source_snoop(),
+                                       hsw::SystemConfig::home_snoop(),
+                                       hsw::SystemConfig::cluster_on_die()};
+  hsw::MachineCosts costs[3]{};
+  hsw::ThreadPool pool(args.jobs);
+  hsw::parallel_for_indexed(pool, 3, [&](std::size_t i) {
+    costs[i] = hsw::probe_machine(configs[i]);
+  });
 
   std::unique_ptr<hsw::CsvWriter> csv;
   if (!args.csv.empty()) {
@@ -32,9 +38,9 @@ int main(int argc, char** argv) {
     double worst_cod = 0.0;
     std::string worst_app;
     for (const hsw::AppProfile& app : *suite) {
-      const double base = hsw::estimate_runtime(app, source).runtime;
-      const double home_rt = hsw::estimate_runtime(app, home).runtime;
-      const double cod_rt = hsw::estimate_runtime(app, cod).runtime;
+      const double base = hsw::estimate_runtime(app, costs[0]).runtime;
+      const double home_rt = hsw::estimate_runtime(app, costs[1]).runtime;
+      const double cod_rt = hsw::estimate_runtime(app, costs[2]).runtime;
       const double home_rel = home_rt / base;
       const double cod_rel = cod_rt / base;
       if (cod_rel > worst_cod) {

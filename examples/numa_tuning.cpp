@@ -57,7 +57,8 @@ int main(int argc, char** argv) {
   double best = 0.0;
   const char* best_label = modes[0].label;
   for (const ModeRow& mode : modes) {
-    const hsw::AppRunResult r = hsw::estimate_runtime(profile, mode.config);
+    const hsw::AppRunResult r =
+        hsw::estimate_runtime(profile, hsw::probe_machine(mode.config));
     if (baseline == 0.0) baseline = r.runtime;
     if (best == 0.0 || r.runtime < best) {
       best = r.runtime;

@@ -206,33 +206,26 @@ void LineStatsRecorder::on_transition(Level level, int unit, LineAddr line,
 }
 
 void LineStatsRecorder::finalize() {
-  if (!finalized_) {
-    finalized_ = true;
-    for (LineEntry& entry : lines_) {
-      close_episode(entry.record, /*handoff=*/false);
-    }
-    for (Slot& slot : slots_) {
-      if (slot.open == kNone) continue;
-      std::array<std::uint32_t, kMaxNodes> by_node;
-      by_node.fill(kNone);
-      for (std::uint32_t i = slot.open; i != kNone; i = intervals_[i].next) {
-        by_node[intervals_[i].node] = i;
-      }
-      LineRecord& record = lines_[slot.record].record;
-      for (const std::uint32_t i : by_node) {
-        if (i == kNone) continue;
-        record.residency_ns[protocol::idx(intervals_[i].state)] +=
-            now_ - intervals_[i].mark;
-      }
-      slot.open = kNone;
-    }
-    intervals_.clear();
-    free_interval_ = kNone;
+  for (LineEntry& entry : lines_) {
+    close_episode(entry.record, /*handoff=*/false);
   }
-  sort_lines();
-}
-
-void LineStatsRecorder::sort_lines() {
+  for (Slot& slot : slots_) {
+    if (slot.open == kNone) continue;
+    std::array<std::uint32_t, kMaxNodes> by_node;
+    by_node.fill(kNone);
+    for (std::uint32_t i = slot.open; i != kNone; i = intervals_[i].next) {
+      by_node[intervals_[i].node] = i;
+    }
+    LineRecord& record = lines_[slot.record].record;
+    for (const std::uint32_t i : by_node) {
+      if (i == kNone) continue;
+      record.residency_ns[protocol::idx(intervals_[i].state)] +=
+          now_ - intervals_[i].mark;
+    }
+    slot.open = kNone;
+  }
+  intervals_.clear();
+  free_interval_ = kNone;
   if (sorted_lines_ == lines_.size()) return;
   std::vector<std::pair<LineAddr, std::uint32_t>> order;
   order.reserve(lines_.size());
@@ -275,7 +268,10 @@ MergedLineStats merge_streams(
   std::vector<Candidate> candidates;
   for (std::size_t k = 0; k < in_stream_order.size(); ++k) {
     const LineStatsRecorder& r = *in_stream_order[k];
-    if (!r.finalized_ || r.sorted_lines_ != r.lines_.size()) {
+    if (!r.intervals_.empty() || r.sorted_lines_ != r.lines_.size() ||
+        std::any_of(r.lines_.begin(), r.lines_.end(), [](const LineEntry& e) {
+          return e.record.episode_core >= 0;
+        })) {
       throw std::logic_error("merge_streams: the recorder of stream " +
                              std::to_string(r.stream()) +
                              " is not finalized");

@@ -176,10 +176,10 @@ class LineStatsRecorder {
   void on_transition(Level level, int unit, LineAddr line, Mesif from,
                      LineOp op, Mesif to);
 
-  // Closes open episodes and open residency intervals at the current clock
-  // and sorts the tracked lines by address.  Only the first call closes
-  // anything; a later call re-sorts lines first seen since the previous
-  // one.  System::detach_linestats and StreamHub::absorb call it.
+  // Closes every open episode and residency interval at the current clock
+  // and sorts the tracked lines by address: each call ends one measured
+  // section, and a second call in a row changes nothing.
+  // System::detach_linestats and StreamHub::absorb call it.
   void finalize();
 
   [[nodiscard]] Protocol protocol() const { return protocol_; }
@@ -239,14 +239,12 @@ class LineStatsRecorder {
   // The slot of `line`, tracking the line first if it is new.
   Slot& slot_of(LineAddr line);
   void grow();
-  void sort_lines();
 
   Protocol protocol_;
   const protocol::ProtocolPolicy* pol_;
   std::uint32_t stream_ = 0;
   double now_ = 0.0;
   bool external_clock_ = false;
-  bool finalized_ = false;
   std::uint64_t accesses_ = 0;
   std::vector<LineEntry> lines_;
   std::size_t sorted_lines_ = 0;  // lines_ is sorted while this == size()

@@ -40,9 +40,8 @@ std::vector<AppProfile> make_omp2012() {
 std::vector<AppProfile> make_mpi2007() {
   auto app = [](std::string name, double cf, double l2, double l3, double dram,
                 double mlp, double bwb) {
-    AppProfile p{std::move(name), "MPI2007", cf, l2, l3, dram, 0.97, 0.008,
-                 mlp, bwb};
-    return p;
+    return AppProfile{std::move(name), "MPI2007", cf, l2, l3, dram, 0.97,
+                      0.008, mlp, bwb};
   };
   return {
       app("104.milc", 0.35, 0.10, 0.12, 0.28, 6.0, 0.80),
@@ -61,20 +60,10 @@ std::vector<AppProfile> make_mpi2007() {
   };
 }
 
-// Probes the per-access costs of the configured machine.
-struct MachineCosts {
-  double l1 = 1.6;
-  double l2 = 4.8;
-  double l3 = 21.2;
-  double dram_local = 96.4;
-  double dram_remote = 146.0;
-  double shared_line = 90.0;      // read of a line forwarded by another node
-  double dram_bw_share = 5.2;     // GB/s per thread, all threads streaming
-  double remote_bw_share = 1.4;   // GB/s per thread over QPI
-};
+}  // namespace
 
-MachineCosts probe_costs(const SystemConfig& config) {
-  MachineCosts costs;
+MachineCosts probe_machine(const SystemConfig& config) {
+  MachineCosts costs{};
   costs.l1 = config.timing.l1_hit;
   costs.l2 = config.timing.l2_hit;
 
@@ -167,8 +156,6 @@ MachineCosts probe_costs(const SystemConfig& config) {
   return costs;
 }
 
-}  // namespace
-
 const std::vector<AppProfile>& spec_omp2012() {
   static const std::vector<AppProfile> apps = make_omp2012();
   return apps;
@@ -180,9 +167,7 @@ const std::vector<AppProfile>& spec_mpi2007() {
 }
 
 AppRunResult estimate_runtime(const AppProfile& app,
-                              const SystemConfig& config) {
-  const MachineCosts costs = probe_costs(config);
-
+                              const MachineCosts& costs) {
   // Effective per-line DRAM service time: latency hidden by the app's MLP,
   // floored by the thread's fair bandwidth share when it streams.
   // `pressure` scales how much of the thread's streaming intensity actually
@@ -208,13 +193,11 @@ AppRunResult estimate_runtime(const AppProfile& app,
                          1.0 - app.numa_locality)) +
       app.sharing * costs.shared_line;
 
-  AppRunResult result;
-  result.memory_time = mem_op;
-  result.sharing_time = app.sharing * costs.shared_line;
   const double compute = app.compute_fraction /
                          (1.0 - app.compute_fraction) * kReferenceMemOpNs;
-  result.runtime = compute + mem_op;
-  return result;
+  return AppRunResult{.runtime = compute + mem_op,
+                      .memory_time = mem_op,
+                      .sharing_time = app.sharing * costs.shared_line};
 }
 
 }  // namespace hsw

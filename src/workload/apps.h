@@ -5,12 +5,13 @@
 // application is modelled by its memory-access profile — the quantity that
 // actually couples application performance to the coherence protocol.  The
 // profiles are replayed against the simulator: per-access costs are probed
-// from the configured System (so the protocol mode changes them exactly as
-// it changes the microbenchmarks), then composed into a per-work-unit
-// runtime.  Profile parameters were chosen to match each code's published
-// characterisation (bandwidth-bound stencils, latency-bound irregular codes,
-// sharing-heavy assembly/update phases in 362.fma3d and 371.applu331 — the
-// two codes the paper singles out as COD-sensitive).
+// once per configuration (so the protocol mode changes them exactly as it
+// changes the microbenchmarks); a pure function composes them with a
+// profile into a per-work-unit runtime.  Profile parameters were chosen to
+// match each code's published characterisation (bandwidth-bound stencils,
+// latency-bound irregular codes, sharing-heavy assembly/update phases in
+// 362.fma3d and 371.applu331 — the two codes the paper singles out as
+// COD-sensitive).
 #pragma once
 
 #include <string>
@@ -56,9 +57,24 @@ struct AppRunResult {
   double sharing_time = 0.0;
 };
 
-// Estimates the runtime of one work unit of `app` on `config` with one
-// thread per core.  OMP2012 threads share data across the whole machine;
-// MPI2007 ranks only touch their own node's memory.
-AppRunResult estimate_runtime(const AppProfile& app, const SystemConfig& config);
+// Per-access costs of one configuration, one thread per core (ns; GB/s).
+struct MachineCosts {
+  double l1;               // L1 hit
+  double l2;               // L2 hit
+  double l3;               // local L3 hit: own data evicted from core caches
+  double dram_local;       // chase of cold lines homed on the own node
+  double dram_remote;      // the same, homed on the farthest node
+  double shared_line;      // read of a line forwarded by another node's cache
+  double dram_bw_share;    // local DRAM per thread, all node cores streaming
+  double remote_bw_share;  // remote DRAM over QPI per thread, likewise
+};
+
+// Probes `config` on fresh Systems: 4 latency probes, 2 bandwidth solves.
+[[nodiscard]] MachineCosts probe_machine(const SystemConfig& config);
+
+// Estimates the runtime of one work unit of `app` from `costs` alone (builds
+// no System).  OMP2012 threads share data across the whole machine; MPI2007
+// ranks only touch their own node's memory.
+AppRunResult estimate_runtime(const AppProfile& app, const MachineCosts& costs);
 
 }  // namespace hsw

@@ -138,6 +138,40 @@ TEST(LineStatsRecorderTest, FinalizeIsIdempotent) {
   EXPECT_EQ(tracked(recorder, 1).episodes, 1u);
 }
 
+TEST(LineStatsRecorderTest, EverySectionClosesItsOwnEpisodesAndIntervals) {
+  // One recorder attached to two measured sections of one System, as
+  // measure_bandwidth attaches it to each probe of a stream: the second
+  // detach must close the second section's episode and L3 intervals.
+  hsw::System sys(hsw::SystemConfig::source_snoop());
+  hsw::obs::LineStatsRecorder recorder(sys.config().protocol, /*stream=*/0);
+  const hsw::PhysAddr addr = sys.alloc_on_node(0, 64).base;
+  const auto residency = [&] {
+    double total = 0.0;
+    for (const double ns : tracked(recorder, hsw::line_of(addr)).residency_ns) {
+      total += ns;
+    }
+    return total;
+  };
+  sys.attach_linestats(recorder);
+  sys.write(0, addr);
+  sys.detach_linestats();
+  const double first = residency();
+  sys.attach_linestats(recorder);
+  sys.read(12, addr);
+  sys.detach_linestats();
+
+  const LineRecord& r = tracked(recorder, hsw::line_of(addr));
+  EXPECT_EQ(r.episodes, 2u);
+  EXPECT_EQ(r.pure_write_episodes, 1u);
+  EXPECT_EQ(r.pure_read_episodes, 1u);
+  EXPECT_EQ(r.handoffs, 0u);  // sections never hand an episode over
+  EXPECT_GT(residency(), first);
+  const LineStatsRecorder* in[] = {&recorder};
+  EXPECT_EQ(hsw::obs::merge_streams(in).patterns[static_cast<std::size_t>(
+                SharingPattern::kPingPong)],
+            1u);
+}
+
 TEST(LineStatsRecorderTest, EngineRecordsOwnerDemotionAndForward) {
   // One cross-socket producer/consumer handoff through the real engine:
   // core 0 dirties a line, core 12 (other socket) reads it.  MESIF demotes
@@ -201,13 +235,17 @@ TEST(LineStatsHubTest, MergeRefusesAnUnfinalizedRecorder) {
   EXPECT_THROW((void)hsw::obs::merge_streams(in), std::logic_error);
   r.finalize();
   EXPECT_EQ(hsw::obs::merge_streams(in).lines_tracked, 1u);
+  // A new episode on a line already tracked and sorted is open again.
+  r.on_access(1, 1, kW, 1.0);
+  EXPECT_THROW((void)hsw::obs::merge_streams(in), std::logic_error);
 }
 
 // The recorder as it was before the flat line table: every line in a
 // std::map, every open L3 interval in a second std::map keyed
 // line * kMaxNodes + node, and a merge that copies every record and
-// stable-sorts them all.  The equivalence test below drives it and the
-// real recorder with the same stream.
+// stable-sorts them all.  Its finalize closes whatever is open on every
+// call.  The equivalence test below drives it and the real recorder with the
+// same stream.
 struct MapRecorder {
   MapRecorder(hsw::Protocol p, std::uint32_t s)
       : protocol(p), pol(&hsw::protocol::policy(p)), stream(s) {}
@@ -287,8 +325,6 @@ struct MapRecorder {
   }
 
   void finalize() {
-    if (finalized) return;
-    finalized = true;
     for (auto& [line, record] : lines) close_episode(record, false);
     for (const auto& [key, interval] : open) {
       lines[key / hsw::kMaxNodes]
@@ -303,7 +339,6 @@ struct MapRecorder {
   std::uint32_t stream;
   double now = 0.0;
   bool external_clock = false;
-  bool finalized = false;
   std::uint64_t accesses = 0;
   std::map<hsw::LineAddr, LineRecord> lines;
   std::array<std::uint64_t, LineStatsRecorder::kTransitionCells> transitions{};
@@ -411,7 +446,8 @@ TEST(LineStatsEquivalenceTest, FlatTableMatchesTheMapRecorder) {
       }
     }
     // Stream 1 runs on an external clock; stream 3 keeps recording after
-    // a first finalize, as a recorder reused across measured sections does.
+    // a first finalize, as a recorder reused across measured sections does,
+    // and its second finalize closes what the second section opened.
     double clock = 0.0;
     for (int step = 0; step < 6000; ++step) {
       if (s == 3 && step == 4000) {
