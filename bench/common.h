@@ -44,11 +44,6 @@ struct BenchArgs {
   // Bandwidth-rate engine (--engine analytic|simulated); latency-only
   // benches ignore it.
   hsw::BandwidthEngine engine = hsw::BandwidthEngine::kAnalytic;
-  // Coherence-protocol family (--protocol mesif|mesi|moesi|dragon).  The
-  // golden figure/table benches pin MESIF configs (the paper's machine) and
-  // reject anything else at the parse edge — a run must never record a
-  // protocol in its manifest that its SystemConfigs did not actually use.
-  hsw::Protocol protocol = hsw::Protocol::kMesif;
   std::string tool;       // bench binary name (report manifest)
   std::string summary;    // bench one-liner (report manifest)
 };
@@ -72,22 +67,13 @@ inline std::optional<std::string> writable_path_error(const std::string& path,
   return std::nullopt;
 }
 
-// How a bench relates to the --protocol axis.  kPinnedMesif (the default,
-// every paper figure/table) refuses a non-MESIF request instead of silently
-// running MESIF under a mislabeled manifest; kAllFamilies (protocol_matrix)
-// sweeps every family itself, so a --protocol selection is meaningless and
-// only warned about.
-enum class ProtocolFlagPolicy { kPinnedMesif, kAllFamilies };
-
 // Parses the standard bench flags.  Exits 0 on --help, 1 on bad flags (CI
 // must see a failure when an invocation has a typo).  Every validation —
-// value ranges, flag combinations, the protocol pin, output-path probes —
-// runs as a CommandLine check inside parse_status(), so the switch below is
-// the binary's only exit site for argument errors (the facade rule in
+// value ranges, flag combinations, output-path probes — runs as a
+// CommandLine check inside parse_status(), so the switch below is the
+// binary's only exit site for argument errors (the facade rule in
 // core/hswbench.h: the library never exits, the CLI edge owns the policy).
-inline BenchArgs parse_args(
-    int argc, char** argv, const char* summary,
-    ProtocolFlagPolicy protocol_policy = ProtocolFlagPolicy::kPinnedMesif) {
+inline BenchArgs parse_args(int argc, char** argv, const char* summary) {
   BenchArgs args;
   hsw::CommandLine cli(summary);
   cli.add_string("csv", &args.csv, "write the series to this CSV file");
@@ -110,16 +96,6 @@ inline BenchArgs parse_args(
   cli.add_string("engine", &engine,
                  "bandwidth-rate engine: analytic (max-min model) or "
                  "simulated (event-driven queueing)");
-  std::string protocol = "mesif";
-  cli.add_string("protocol", &protocol,
-                 "coherence-protocol family: mesif (Haswell-EP) | mesi | "
-                 "moesi | dragon (update-based)");
-  std::string spec_path;
-  cli.add_string("spec", &spec_path,
-                 "load an ExperimentSpec JSON document "
-                 "(src/core/experiment.h); its seed / engine / protocol "
-                 "override those flags, while the sweep geometry stays the "
-                 "bench's own");
 
   cli.add_check([&]() -> std::optional<std::string> {
     if (jobs < 0) return "--jobs must be >= 0";
@@ -136,28 +112,6 @@ inline BenchArgs parse_args(
     args.engine = *parsed;
     return std::nullopt;
   });
-  cli.add_check([&]() -> std::optional<std::string> {
-    const std::optional<hsw::Protocol> parsed = hsw::parse_protocol(protocol);
-    if (!parsed) {
-      return "--protocol must be mesif, mesi, moesi, or dragon, got '" +
-             protocol + "'";
-    }
-    args.protocol = *parsed;
-    return std::nullopt;
-  });
-  // --spec runs after the scalar flags so the spec's shared knobs override
-  // them, and before the policy checks below so those see the final values.
-  cli.add_check([&]() -> std::optional<std::string> {
-    if (spec_path.empty()) return std::nullopt;
-    std::string error;
-    const std::optional<hsw::ExperimentSpec> spec =
-        hsw::spec_from_file(spec_path, &error);
-    if (!spec) return "--spec: " + error;
-    args.seed = spec->seed;
-    args.engine = spec->engine;
-    args.protocol = spec->protocol;
-    return std::nullopt;
-  });
   // The per-resource recorder watches the simulated engine's FIFO servers;
   // the analytic solver (and every latency bench) has no queues to observe,
   // so the report would be all zeros.  Refuse the combination instead of
@@ -168,22 +122,6 @@ inline BenchArgs parse_args(
       return "--observe resources requires --engine simulated: only the "
              "event-driven engine has FIFO servers to observe, so the "
              "resources section would be all zeros";
-    }
-    return std::nullopt;
-  });
-  cli.add_check([&]() -> std::optional<std::string> {
-    if (args.protocol == hsw::Protocol::kMesif) return std::nullopt;
-    switch (protocol_policy) {
-      case ProtocolFlagPolicy::kPinnedMesif:
-        return "this bench reproduces the paper's MESIF machine and pins "
-               "its configs; for the --protocol axis use "
-               "bench/protocol_matrix or hswsim_cli";
-      case ProtocolFlagPolicy::kAllFamilies:
-        std::fprintf(stderr,
-                     "note: this bench sweeps every protocol family itself; "
-                     "--protocol %s is ignored\n",
-                     protocol.c_str());
-        break;
     }
     return std::nullopt;
   });
@@ -211,11 +149,12 @@ inline BenchArgs parse_args(
 
 // Writes the --report document with a section per --observe observer.
 // Exits 1 on write failure so CI never mistakes a truncated report for a
-// clean run.
+// clean run.  Every bench that writes a report runs the paper's MESIF
+// machine (the all-families benches ignore --observe).
 inline void write_report(const BenchArgs& args, const hsw::ObserverHubs& hubs) {
   if (!args.observe.set.reports()) return;
   hsw::metrics::ReportManifest manifest =
-      hsw::make_manifest(args.tool, args.summary, args.protocol);
+      hsw::make_manifest(args.tool, args.summary, hsw::Protocol::kMesif);
   manifest.seed = args.seed;
   manifest.jobs = args.jobs;
   manifest.quick = args.quick;
@@ -561,13 +500,12 @@ class ProgressMeter {
   std::atomic<std::uint64_t> accesses_{0};
 };
 
-// Runs every (series, size) sweep point of `plans` over one shared pool and
-// returns the full LatencyResult grid in (plan, size) order.  Each point
-// writes its own pre-assigned slot, so the result is identical for any job
-// count.
+// Runs every (series, size) sweep point of `plans` over one shared pool
+// (--jobs workers, --progress heartbeat) and returns the full LatencyResult
+// grid in (plan, size) order.  Each point writes its own pre-assigned slot,
+// so the result is identical for any job count.
 inline std::vector<std::vector<hsw::LatencyResult>> run_latency_grid(
-    const std::vector<LatencySeriesPlan>& plans, unsigned jobs,
-    ProgressMeter* progress = nullptr) {
+    const std::vector<LatencySeriesPlan>& plans, const BenchArgs& args) {
   std::vector<std::vector<hsw::LatencyResult>> grid(plans.size());
   std::vector<std::pair<std::size_t, std::size_t>> work;  // (plan, size index)
   for (std::size_t p = 0; p < plans.size(); ++p) {
@@ -576,27 +514,14 @@ inline std::vector<std::vector<hsw::LatencyResult>> run_latency_grid(
       work.emplace_back(p, i);
     }
   }
-  hsw::ThreadPool pool(jobs);
+  ProgressMeter progress(args.progress, args.tool, work.size());
+  hsw::ThreadPool pool(args.jobs);
   hsw::parallel_for_indexed(pool, work.size(), [&](std::size_t w) {
     const auto [p, i] = work[w];
     hsw::LatencySweepPoint point = hsw::latency_sweep_point(plans[p].config, i);
-    if (progress != nullptr) progress->tick(point.result.lines_measured);
+    progress.tick(point.result.lines_measured);
     grid[p][i] = std::move(point.result);
   });
-  return grid;
-}
-
-// BenchArgs-driven overload: wires the --progress heartbeat around the
-// fan-out (and closes its stderr line) before returning the grid.
-inline std::vector<std::vector<hsw::LatencyResult>> run_latency_grid(
-    const std::vector<LatencySeriesPlan>& plans, const BenchArgs& args) {
-  std::size_t total = 0;
-  for (const LatencySeriesPlan& plan : plans) {
-    total += plan.config.sizes.size();
-  }
-  ProgressMeter progress(args.progress, args.tool, total);
-  std::vector<std::vector<hsw::LatencyResult>> grid =
-      run_latency_grid(plans, args.jobs, &progress);
   progress.finish();
   return grid;
 }
@@ -669,15 +594,9 @@ inline void extend_plans_for_trace(const BenchTrace& trace,
   }
 }
 
-// Mean-latency-only fan-out (benches that need nothing else).
-inline std::vector<Series> run_latency_series(
-    const std::vector<LatencySeriesPlan>& plans, unsigned jobs) {
-  return mean_series(plans, run_latency_grid(plans, jobs));
-}
-
-// Same fan-out for bandwidth sweeps; series values are GB/s.  Bandwidth
-// points carry no access count, so the heartbeat reports point progress
-// only.
+// run_latency_grid's fan-out for bandwidth sweeps; series values are GB/s.
+// Bandwidth points carry no access count, so the heartbeat reports point
+// progress only.
 inline std::vector<Series> run_bandwidth_series(
     const std::vector<BandwidthSeriesPlan>& plans, unsigned jobs,
     ProgressMeter* progress = nullptr) {
@@ -722,16 +641,6 @@ inline std::vector<Series> run_bandwidth_series(
   std::vector<Series> series =
       run_bandwidth_series(plans, args.jobs, &progress);
   progress.finish();
-  return series;
-}
-
-// Convenience: run one latency sweep and return its mean-latency series.
-inline Series latency_series(std::string name, hsw::LatencySweepConfig config) {
-  Series series;
-  series.name = std::move(name);
-  for (const hsw::LatencySweepPoint& p : hsw::latency_sweep(config)) {
-    series.values.push_back(p.result.mean_ns);
-  }
   return series;
 }
 

@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
       argc, argv,
       "protocol x scenario cost matrix: sharing-heavy traces replayed under "
-      "MESIF, MESI, MOESI, and Dragon",
-      hswbench::ProtocolFlagPolicy::kAllFamilies);
+      "MESIF, MESI, MOESI, and Dragon");
   if (!args.trace.empty() || args.attribution || args.observe.set.reports()) {
     std::fprintf(stderr,
                  "note: protocol_matrix sweeps all four protocols in one "

@@ -128,8 +128,7 @@ int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
       argc, argv,
       "flight-recorder sharing-pattern matrix: contention traces classified "
-      "per coherence-protocol family",
-      hswbench::ProtocolFlagPolicy::kAllFamilies);
+      "per coherence-protocol family");
   if (!args.trace.empty() || args.attribution || args.observe.set.reports()) {
     std::fprintf(stderr,
                  "note: sharing_patterns attaches its own per-cell flight "

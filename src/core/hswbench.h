@@ -8,10 +8,6 @@
 //   experiments  measure_latency (LatencyConfig), measure_bandwidth
 //                (BandwidthConfig; engine = kAnalytic | kSimulated,
 //                parse_bandwidth_engine), latency_sweep / bandwidth_sweep
-//   specs        ExperimentSpec — the one versioned JSON document naming a
-//                sweep (kind, mode, protocol, engine, seed, placement,
-//                sizes).  spec_from_json / to_json round-trip;
-//                the benches load it via --spec
 //   model        bw::BandwidthModel (MLP demand + max-min contention),
 //                bw::max_min_rates
 //   exec         exec::run_closed_loop / exec::run_programs — the
@@ -61,20 +57,18 @@
 // Everything under src/ is a library: no function behind this header calls
 // exit(), prints to stdout, or writes usage text to stderr.  Errors surface
 // as values — std::optional from the name parsers
-// (parse_snoop_mode, parse_protocol, parse_mesif, parse_bandwidth_engine,
-// parse_experiment_kind, spec_from_json), error enums from the report
-// loaders (ReportLoadError), std::invalid_argument from configuration
-// validation — and the *binaries* own the policy: the benches route every
-// flag error (bad values, invalid combinations, the MESIF pin, output-path
-// probes) through CommandLine checks so ParseStatus::kError is the single
-// argument-error exit path.  Code that wants to embed the kit (a notebook
+// (parse_snoop_mode, parse_protocol, parse_mesif, parse_bandwidth_engine),
+// error enums from the report loaders (ReportLoadError),
+// std::invalid_argument from configuration validation — and the *binaries*
+// own the policy: the benches route every flag error (bad values, invalid
+// combinations, output-path probes) through CommandLine checks so
+// ParseStatus::kError is the single argument-error exit path.  Code that wants to embed the kit (a notebook
 // binding, a fuzzer) must never lose its process to a typo'd config.
 #pragma once
 
 #include "bw/model.h"
 #include "bw/solver.h"
 #include "core/bandwidth.h"
-#include "core/experiment.h"
 #include "core/instrumentation.h"
 #include "core/latency.h"
 #include "core/observers.h"

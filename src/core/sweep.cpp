@@ -45,6 +45,7 @@ std::vector<std::uint64_t> sweep_sizes(std::uint64_t min_bytes,
 
 LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
                                       std::size_t index) {
+  check_level_unset(config.placement);
   const std::uint64_t bytes = config.sizes.at(index);
   System system(config.system);
   // Latency points drive no FIFO servers, so they run no resource recorder.
@@ -54,8 +55,7 @@ LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
       point_observers(config.trace, set, config.system.protocol, index);
   LatencyConfig lc;
   lc.reader_core = config.reader_core;
-  lc.placement = config.placement;
-  lc.placement.level = CacheLevel::kL1L2;  // natural level by capacity
+  lc.placement = config.placement;  // natural level by capacity
   lc.buffer_bytes = bytes;
   lc.max_measured_lines = config.max_measured_lines;
   lc.seed = config.seed;
@@ -66,7 +66,6 @@ LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
 }
 
 std::vector<LatencySweepPoint> latency_sweep(const LatencySweepConfig& config) {
-  check_level_unset(config.placement);
   std::vector<LatencySweepPoint> points(config.sizes.size());
   ThreadPool pool(config.jobs);
   parallel_for_indexed(pool, config.sizes.size(), [&](std::size_t i) {
@@ -77,14 +76,13 @@ std::vector<LatencySweepPoint> latency_sweep(const LatencySweepConfig& config) {
 
 BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,
                                           std::size_t index) {
+  check_level_unset(config.stream.placement);
   const std::uint64_t bytes = config.sizes.at(index);
   System system(config.system);
   PointObservers observers = point_observers(
       config.trace, config.trace.observe, config.system.protocol, index);
   BandwidthConfig bc;
-  StreamConfig stream = config.stream;
-  stream.placement.level = CacheLevel::kL1L2;
-  bc.streams = {stream};
+  bc.streams = {config.stream};
   bc.buffer_bytes = bytes;
   bc.seed = config.seed;
   bc.model = config.model;
@@ -103,7 +101,6 @@ BandwidthSweepPoint bandwidth_sweep_point(const BandwidthSweepConfig& config,
 
 std::vector<BandwidthSweepPoint> bandwidth_sweep(
     const BandwidthSweepConfig& config) {
-  check_level_unset(config.stream.placement);
   std::vector<BandwidthSweepPoint> points(config.sizes.size());
   ThreadPool pool(config.jobs);
   parallel_for_indexed(pool, config.sizes.size(), [&](std::size_t i) {

@@ -69,6 +69,7 @@ struct LatencySweepConfig {
 
 // Measures point `index` of `config.sizes` on a fresh System (the unit of
 // work the parallel sweep and the bench fan-out both dispatch).  Throws
+// std::invalid_argument for an explicit placement level and
 // std::out_of_range for an index outside `sizes`.
 LatencySweepPoint latency_sweep_point(const LatencySweepConfig& config,
                                       std::size_t index);

@@ -1,5 +1,4 @@
-// Minimal JSON helpers shared by the metrics report reader, the experiment
-// spec round-trip, and the serve transport.
+// Minimal JSON helpers for the report renderers and the report reader.
 //
 // parse_flat() is a recursive-descent reader for the documents this project
 // writes (it is not a general-purpose parser).  Scalars land in the output

@@ -105,12 +105,14 @@ TEST(ParallelSweep, RejectsAnExplicitPlacementLevel) {
   LatencySweepConfig config = latency_config();
   config.placement.level = CacheLevel::kL3;
   EXPECT_THROW(latency_sweep(config), std::invalid_argument);
+  EXPECT_THROW(latency_sweep_point(config, 0), std::invalid_argument);
 
   BandwidthSweepConfig bw;
   bw.system = SystemConfig::source_snoop();
   bw.stream.placement.level = CacheLevel::kMemory;
   bw.sizes = {kib(64)};
   EXPECT_THROW(bandwidth_sweep(bw), std::invalid_argument);
+  EXPECT_THROW(bandwidth_sweep_point(bw, 0), std::invalid_argument);
 }
 
 }  // namespace
