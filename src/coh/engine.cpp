@@ -132,9 +132,6 @@ void CoherenceEngine::record_request_to_ha(int req_node, int home_node) {
 void CoherenceEngine::record_qpi(int from_node, int to_node,
                                  std::uint64_t bytes) {
   metrics::MetricsRegistry* const mm = m_.metrics;
-  if (from_node == to_node || !m_.topo.crosses_qpi(from_node, to_node)) {
-    return;
-  }
   int a = m_.topo.node(from_node).socket;
   int b = m_.topo.node(to_node).socket;
   if (a > b) std::swap(a, b);
@@ -197,10 +194,40 @@ void CoherenceEngine::writeback(LineAddr line, bool clears_directory) {
   dram_write(home);
   m_.counters.bump(Ctr::kL3WritebacksToMem);
   if (directory_on() && clears_directory) {
-    if (home.ha->directory.set(line, DirState::kRemoteInvalid)) {
-      m_.counters.bump(Ctr::kDirectoryUpdates);
-      metric(MC::kHaDirectoryUpdate);
-    }
+    set_directory(home, line, DirState::kRemoteInvalid, DirWrite::kSilent);
+  }
+}
+
+// --- directory writes and messages -------------------------------------------
+
+double CoherenceEngine::set_directory(MachineState::HomeRef& home,
+                                      LineAddr line, DirState next,
+                                      DirWrite kind) {
+  if (!home.ha->directory.set(line, next)) return 0.0;
+  m_.counters.bump(Ctr::kDirectoryUpdates);
+  if (kind == DirWrite::kSilent) return 0.0;
+  const bool ecc = kind == DirWrite::kEcc;
+  const double ns = ecc ? m_.timing.dir_update : 0.0;
+  if (tracer_ != nullptr) {
+    tracer_->leaf(TComp::kDirectory,
+                  ecc ? "dir_update_ecc" : "dir_update_background", ns);
+  }
+  return ns;
+}
+
+void CoherenceEngine::send(int from_node, int to_node, Msg msg) {
+  const bool snoop = msg == Msg::kSnoop || msg == Msg::kUpdate;
+  if (snoop) m_.counters.bump(Ctr::kSnoopBroadcasts);
+  if (!m_.topo.crosses_qpi(from_node, to_node)) return;
+  if (snoop) {
+    m_.counters.bump(Ctr::kQpiSnoopFlits);
+  } else if (msg == Msg::kData) {
+    m_.counters.bump(Ctr::kQpiDataFlits);
+  }
+  if (m_.metrics != nullptr) {
+    const bool data = msg == Msg::kUpdate || msg == Msg::kData;
+    record_qpi(from_node, to_node,
+               data ? metrics::kQpiDataBytes : metrics::kQpiHeaderBytes);
   }
 }
 
@@ -390,7 +417,6 @@ double CoherenceEngine::snoop_peer_update(int peer_node, LineAddr line,
 
   *had_copy = true;
   m_.counters.bump(Ctr::kUpdatesSent);
-  metric(MC::kCboUpdateSent);
   // Every core copy is refreshed in place and demoted to Shared: the peers
   // keep reading their (now clean w.r.t. the new owner) copies without a
   // miss — the whole point of the update protocol.
@@ -721,7 +747,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       trace_link("data_return", h, req_node);
       tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
     }
-    metric_qpi(h, req_node, metrics::kQpiDataBytes);
+    send(h, req_node, Msg::kData);
     fill.ns = ready_ns + m_.link_ns(h, req_node) + t.response_return;
     fill.source = h == req_node ? ServiceSource::kLocalDram
                                 : ServiceSource::kRemoteDram;
@@ -732,7 +758,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       trace_link("cache_fwd", from_node, req_node);
       tracer_->leaf(TComp::kCbo, "cache_fwd_return", t.cache_fwd_return);
     }
-    metric_qpi(from_node, req_node, metrics::kQpiDataBytes);
+    send(from_node, req_node, Msg::kData);
     fill.ns = data_sent_ns + m_.link_ns(from_node, req_node) + t.cache_fwd_return;
     fill.source = from_node == req_node ? ServiceSource::kL3
                                         : ServiceSource::kRemoteFwd;
@@ -757,51 +783,29 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
         } else {
           if (home.ha->hitme.put(line, presence)) {
             m_.counters.bump(Ctr::kHitmeEvict);
-            metric(MC::kHaHitmeEvict);
           }
           m_.counters.bump(Ctr::kHitmeAlloc);
-          metric(MC::kHaHitmeAllocShared);
         }
         if (tracer_ != nullptr) tracer_->leaf(TComp::kHitme, "hitme_track", 0.0);
-        // The directory ECC write happens in the background here: the data
-        // comes cache-to-cache from the forwarder, so the HA's state update
-        // is not on the requester's critical path (unlike memory grants).
-        if (home.ha->directory.set(line, DirState::kSnoopAll)) {
-          m_.counters.bump(Ctr::kDirectoryUpdates);
-          metric(MC::kHaDirectoryUpdate);
-          if (tracer_ != nullptr) {
-            tracer_->leaf(TComp::kDirectory, "dir_update_background", 0.0);
-          }
-        }
-      } else {
-        // Classic DAS without a directory cache: clean forwards record the
-        // `shared` state, which keeps the memory copy authoritative.  A
-        // dirty Owned forward must keep snoop-all instead (stale memory).
-        const DirState next = (!hitme_on() && memory_valid)
-                                  ? DirState::kShared
-                                  : DirState::kSnoopAll;
-        if (home.ha->directory.set(line, next)) {
-          m_.counters.bump(Ctr::kDirectoryUpdates);
-          metric(MC::kHaDirectoryUpdate);
-          if (tracer_ != nullptr) {
-            tracer_->leaf(TComp::kDirectory, "dir_update_background", 0.0);
-          }
-        }
       }
+      // Classic DAS without a directory cache: clean forwards record the
+      // `shared` state, which keeps the memory copy authoritative.  With
+      // HitME, or after a dirty Owned forward (stale memory), the directory
+      // goes snoop-all.  The directory ECC write happens in the background
+      // here: the data comes cache-to-cache from the forwarder, so the HA's
+      // state update is not on the requester's critical path (unlike
+      // memory grants).
+      const DirState next = (!hitme_on() && memory_valid)
+                                ? DirState::kShared
+                                : DirState::kSnoopAll;
+      set_directory(home, line, next, DirWrite::kBackground);
     }
   };
   auto record_memory_grant = [&](bool exclusive) {
     fill.node_state = exclusive ? Mesif::kExclusive : Mesif::kShared;
     fill.core_state = exclusive ? Mesif::kExclusive : Mesif::kShared;
     if (directory_on() && req_node != h) {
-      if (home.ha->directory.set(line, DirState::kSnoopAll)) {
-        m_.counters.bump(Ctr::kDirectoryUpdates);
-        metric(MC::kHaDirectoryUpdate);
-        if (tracer_ != nullptr) {
-          tracer_->leaf(TComp::kDirectory, "dir_update_ecc", t.dir_update);
-        }
-        fill.ns += t.dir_update;
-      }
+      fill.ns += set_directory(home, line, DirState::kSnoopAll, DirWrite::kEcc);
     }
   };
 
@@ -818,11 +822,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       double slowest_response_at_ha = t_req_at_ha;
       bool any_shared = false;
       for (int p : snooped) {
-        m_.counters.bump(Ctr::kSnoopBroadcasts);
-        if (m_.topo.crosses_qpi(req_node, p)) {
-          m_.counters.bump(Ctr::kQpiSnoopFlits);
-        }
-        metric_qpi(req_node, p, metrics::kQpiHeaderBytes);
+        send(req_node, p, Msg::kSnoop);
         if (tracer_ != nullptr) {
           tracer_->open_leg(kNodeName[p]);
           trace_link("snoop_out", req_node, p);
@@ -878,9 +878,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
     bool any_shared = false;
     int fanout = 0;
     for (int p : snooped) {
-      m_.counters.bump(Ctr::kSnoopBroadcasts);
-      if (m_.topo.crosses_qpi(h, p)) m_.counters.bump(Ctr::kQpiSnoopFlits);
-      metric_qpi(h, p, metrics::kQpiHeaderBytes);
+      send(h, p, Msg::kSnoop);
       const double stagger = t.broadcast_fanout * fanout++;
       if (tracer_ != nullptr) {
         tracer_->open_leg(kNodeName[p]);
@@ -966,7 +964,6 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       // Clean-shared migratory line: the memory copy is valid; forward it
       // without waiting for snoop responses.
       m_.counters.bump(Ctr::kHitmeHit);
-      metric(MC::kHaHitmeHit);
       metric(MC::kHaBypass);
       if (tracer_ != nullptr) {
         tracer_->leaf(TComp::kHitme, "hitme_hit", 0.0);
@@ -987,13 +984,11 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       return fill;
     }
     m_.counters.bump(Ctr::kHitmeMiss);
-    metric(MC::kHaHitmeMiss);
   }
 
   // 3. In-memory directory: available only once the DRAM read returns
   //    (the 2-bit state lives in the ECC bits of the data).
   m_.counters.bump(Ctr::kDirectoryLookups);
-  metric(MC::kHaDirectoryLookup);
   const double dram_ready = probe_done + dram_read(home);
   const DirState dir = home.ha->directory.get(line);
   if (dir == DirState::kRemoteInvalid) {
@@ -1030,8 +1025,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
   bool any_shared = home_had_shared;
   int fanout = 0;
   for (int p : peers) {
-    m_.counters.bump(Ctr::kSnoopBroadcasts);
-    if (m_.topo.crosses_qpi(h, p)) m_.counters.bump(Ctr::kQpiSnoopFlits);
+    send(h, p, Msg::kSnoop);
     const double stagger = t.broadcast_fanout * fanout++;
     if (tracer_ != nullptr) {
       tracer_->open_leg(kNodeName[p]);
@@ -1251,10 +1245,8 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
   int fanout = 0;
   bool dirty_transfer = false;
   for (int p : snooped) {
-    m_.counters.bump(Ctr::kSnoopBroadcasts);
     const int from = from_requester ? req_node : h;
-    if (m_.topo.crosses_qpi(from, p)) m_.counters.bump(Ctr::kQpiSnoopFlits);
-    metric_qpi(from, p, metrics::kQpiHeaderBytes);
+    send(from, p, Msg::kSnoop);
     const double stagger = t.broadcast_fanout * fanout++;
     if (tracer_ != nullptr) {
       tracer_->open_leg(kNodeName[p]);
@@ -1289,7 +1281,7 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
     trace_link("data_return", h, req_node);
     tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
   }
-  metric_qpi(h, req_node, metrics::kQpiDataBytes);
+  send(h, req_node, Msg::kData);
   fill.ns = std::max(dram_ready, slowest_ack) + m_.link_ns(h, req_node) +
             t.response_return;
   fill.source = h == req_node ? ServiceSource::kLocalDram
@@ -1300,16 +1292,9 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
   if (directory_on()) {
     const DirState next =
         req_node == h ? DirState::kRemoteInvalid : DirState::kSnoopAll;
-    if (home.ha->directory.set(line, next)) {
-      m_.counters.bump(Ctr::kDirectoryUpdates);
-      metric(MC::kHaDirectoryUpdate);
-      // The in-memory directory lives in the line's ECC bits: the HA must
-      // schedule the state write before completing the ownership grant.
-      if (tracer_ != nullptr) {
-        tracer_->leaf(TComp::kDirectory, "dir_update_ecc", t.dir_update);
-      }
-      fill.ns += t.dir_update;
-    }
+    // The in-memory directory lives in the line's ECC bits: the HA must
+    // schedule the state write before completing the ownership grant.
+    fill.ns += set_directory(home, line, next, DirWrite::kEcc);
     if (hitme_on()) home.ha->hitme.erase(line);
   }
   return fill;
@@ -1364,7 +1349,6 @@ CoherenceEngine::Fill CoherenceEngine::ca_update(int core, LineAddr line) {
         snoop_core(m_.topo.global_core(socket, owner_local), line,
                    Mesif::kShared, obs::LineOp::kSnoopUpdate);
         m_.counters.bump(Ctr::kUpdatesSent);
-        metric(MC::kCboUpdateSent);
       }
     }
     obs_transition(obs::Level::kL3, req_node, line, entry.state(),
@@ -1431,10 +1415,8 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
   int fanout = 0;
   bool remote_copy = false;
   for (int p : snooped) {
-    m_.counters.bump(Ctr::kSnoopBroadcasts);
     const int from = from_requester ? req_node : h;
-    if (m_.topo.crosses_qpi(from, p)) m_.counters.bump(Ctr::kQpiSnoopFlits);
-    metric_qpi(from, p, metrics::kQpiDataBytes);
+    send(from, p, Msg::kUpdate);
     const double stagger = t.broadcast_fanout * fanout++;
     if (tracer_ != nullptr) {
       tracer_->open_leg(kNodeName[p]);
@@ -1470,7 +1452,7 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
     trace_link("ack_return", h, req_node);
     tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
   }
-  metric_qpi(h, req_node, metrics::kQpiHeaderBytes);
+  send(h, req_node, Msg::kAck);
   fill.ns = std::max(ha_ready, slowest_ack) + m_.link_ns(h, req_node) +
             t.response_return;
 
@@ -1486,7 +1468,6 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
     snoop_core(m_.topo.global_core(socket, owner_local), line, Mesif::kShared,
                obs::LineOp::kSnoopUpdate);
     m_.counters.bump(Ctr::kUpdatesSent);
-    metric(MC::kCboUpdateSent);
   }
   // The writer owns the newest data.  Remote copies survive the update, so
   // the node state is Owned (dirty-shared) rather than Modified.
@@ -1506,14 +1487,7 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
     const DirState next = (req_node == h && !remote_copy)
                               ? DirState::kRemoteInvalid
                               : DirState::kSnoopAll;
-    if (home.ha->directory.set(line, next)) {
-      m_.counters.bump(Ctr::kDirectoryUpdates);
-      metric(MC::kHaDirectoryUpdate);
-      if (tracer_ != nullptr) {
-        tracer_->leaf(TComp::kDirectory, "dir_update_ecc", t.dir_update);
-      }
-      fill.ns += t.dir_update;
-    }
+    fill.ns += set_directory(home, line, next, DirWrite::kEcc);
     if (hitme_on()) home.ha->hitme.erase(line);
   }
   return fill;
@@ -1550,10 +1524,7 @@ double CoherenceEngine::flush_impl(PhysAddr addr) {
   if (dirty) writeback(line, /*clears_directory=*/true);
   if (directory_on()) {
     auto home = m_.home_of(line);
-    if (home.ha->directory.set(line, DirState::kRemoteInvalid)) {
-      m_.counters.bump(Ctr::kDirectoryUpdates);
-      metric(MC::kHaDirectoryUpdate);
-    }
+    set_directory(home, line, DirState::kRemoteInvalid, DirWrite::kSilent);
     if (hitme_on()) home.ha->hitme.erase(line);
   }
   if (tracer_ != nullptr) {

@@ -155,6 +155,32 @@ class CoherenceEngine {
   // is gone; a silent clean eviction does not).
   void writeback(LineAddr line, bool clears_directory);
 
+  // How a directory write reaches the requester's latency.
+  enum class DirWrite : std::uint8_t {
+    kSilent,      // writeback, flush: no trace leaf, no cost
+    kBackground,  // cache-to-cache forward: a 0 ns dir_update_background leaf
+    kEcc,         // grant from the HA: a dir_update_ecc leaf of t.dir_update
+  };
+  // The one place the in-memory directory is written.  A set that pays a
+  // write (DirectoryStore::set) counts one directory update and emits the
+  // kind's trace leaf.  Returns the ns the caller adds to its latency:
+  // t.dir_update for a paid kEcc write, 0.0 otherwise.
+  double set_directory(MachineState::HomeRef& home, LineAddr line,
+                       DirState next, DirWrite kind);
+
+  // Coherence message classes between two nodes' agents.
+  enum class Msg : std::uint8_t {
+    kSnoop,   // snoop or invalidation broadcast: header only
+    kUpdate,  // Dragon update broadcast: carries the line, counts as a snoop
+    kData,    // data response to the requester (memory or cache forward)
+    kAck,     // completion without data
+  };
+  // The one place a message between agents is counted.  kSnoop and kUpdate
+  // count one snoop broadcast.  A message that crosses a socket link counts
+  // one QPI flit of its class (no engine counter for kAck) and feeds the
+  // per-link metric families with the class's bytes.
+  void send(int from_node, int to_node, Msg msg);
+
   // Fill plumbing -------------------------------------------------------------
   // `op` is the demand operation behind the fill (kLocalRead / kLocalStore).
   void fill_caches(int core, LineAddr line, const Fill& fill, obs::LineOp op);
@@ -202,10 +228,8 @@ class CoherenceEngine {
     if (m_.metrics != nullptr) record_request_to_ha(req_node, home_node);
   }
   void record_request_to_ha(int req_node, int home_node);
-  // One message crossing the socket link (no-op for same-socket pairs).
-  void metric_qpi(int from_node, int to_node, std::uint64_t bytes) {
-    if (m_.metrics != nullptr) record_qpi(from_node, to_node, bytes);
-  }
+  // One message crossing the socket link between two nodes on different
+  // sockets (the caller checked crosses_qpi).
   void record_qpi(int from_node, int to_node, std::uint64_t bytes);
 
   [[nodiscard]] bool directory_on() const { return m_.features.directory; }

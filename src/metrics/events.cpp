@@ -10,18 +10,11 @@ std::string_view to_string(MCtr c) {
     case MCtr::kL2VictimCleanSilent: return "CBO_L2_VICTIM_CLEAN_SILENT";
     case MCtr::kL3VictimDirty: return "CBO_LLC_VICTIM_M_WRITEBACK";
     case MCtr::kL3VictimCleanSilent: return "CBO_LLC_VICTIM_CLEAN_SILENT";
-    case MCtr::kCboUpdateSent: return "CBO_UPDATE_SENT";
     case MCtr::kSadLocalHome: return "SAD_REQ_LOCAL_HOME";
     case MCtr::kSadRemoteHome: return "SAD_REQ_REMOTE_HOME";
-    case MCtr::kHaDirectoryLookup: return "HA_DIRECTORY_LOOKUP";
-    case MCtr::kHaDirectoryUpdate: return "HA_DIRECTORY_UPDATE";
     case MCtr::kHaSnoopAllBroadcast: return "HA_SNOOP_ALL_BCAST";
     case MCtr::kHaStaleBroadcast: return "HA_DIRECTORY_STALE_BCAST";
     case MCtr::kHaBypass: return "HA_SNOOP_BYPASS";
-    case MCtr::kHaHitmeHit: return "HA_HITME_HIT";
-    case MCtr::kHaHitmeMiss: return "HA_HITME_MISS";
-    case MCtr::kHaHitmeAllocShared: return "HA_HITME_ALLOCATE_SHARED";
-    case MCtr::kHaHitmeEvict: return "HA_HITME_EVICT";
     case MCtr::kImcPageHit: return "IMC_PAGE_HIT";
     case MCtr::kImcPageEmpty: return "IMC_PAGE_EMPTY";
     case MCtr::kImcPageConflict: return "IMC_PAGE_CONFLICT";

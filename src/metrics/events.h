@@ -5,6 +5,11 @@
 // uncore-style event name so reports read like `perf stat` on the real
 // machine's uncore boxes.
 //
+// Events the engine's always-on CounterSet already counts (sim/counters.h:
+// directory lookups and updates, HitME hits/misses/allocations/evictions,
+// update broadcasts, QPI flits, ...) are not repeated here: a report
+// carries them as its `engine_counters`, over the same attach window.
+//
 // Four metric kinds:
 //   MCtr    - scalar monotonic counters (event occurrences)
 //   MGauge  - point-in-time structural state (MESIF occupancy, directory
@@ -31,22 +36,13 @@ enum class MCtr : std::uint8_t {
   kL2VictimCleanSilent,
   kL3VictimDirty,
   kL3VictimCleanSilent,
-  // CBo: update broadcasts sent on stores to shared lines (Dragon; zero
-  // under the invalidate-based protocols).
-  kCboUpdateSent,
   // SAD: who decoded the request's home — the local or a remote node.
   kSadLocalHome,
   kSadRemoteHome,
-  // HA: in-memory directory and HitME directory-cache activity.
-  kHaDirectoryLookup,
-  kHaDirectoryUpdate,
+  // HA: how the directory state and the HitME cache routed a request.
   kHaSnoopAllBroadcast,  // directory said snoop-all: speculative broadcast
   kHaStaleBroadcast,     // ...and nobody answered (directory was stale)
   kHaBypass,             // served without waiting on any snoop response
-  kHaHitmeHit,
-  kHaHitmeMiss,
-  kHaHitmeAllocShared,   // AllocateShared fill on a cross-node forward
-  kHaHitmeEvict,
   // iMC: row-buffer outcome of every directed DRAM read.
   kImcPageHit,
   kImcPageEmpty,

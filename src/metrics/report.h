@@ -82,7 +82,7 @@ enum class ReportLoadError {
 };
 
 // Flattens a report produced by write_report into dotted-path keys
-// ("manifest.seed", "metrics.counters.HA_HITME_HIT",
+// ("manifest.seed", "metrics.counters.HA_SNOOP_BYPASS",
 // "lines.patterns.ping_pong", ...).  Values are raw JSON scalars: numbers
 // verbatim, strings unescaped.  The map is filled for kUnknownVersion too,
 // so a caller can name the version it found.

@@ -75,6 +75,24 @@ TEST(Latency, CountersMatchSourceCounts) {
             r.source_counts[static_cast<std::size_t>(ServiceSource::kRemoteFwd)]);
 }
 
+TEST(Latency, RemoteLoadsCrossQpiAsDataFlits) {
+  // Source snoop has one node per socket: every load served by the other
+  // node's memory or caches returns its data across QPI exactly once.
+  for (CacheLevel level : {CacheLevel::kL3, CacheLevel::kMemory}) {
+    System sys(SystemConfig::source_snoop());
+    LatencyConfig lc = config(0, 12, Mesif::kExclusive, kib(512), level);
+    lc.placement.memory_node = 1;
+    const LatencyResult r = measure_latency(sys, lc);
+    const auto ctr = [&](Ctr c) {
+      return r.counters[static_cast<std::size_t>(c)];
+    };
+    const std::uint64_t remote =
+        ctr(Ctr::kLoadsRemoteDram) + ctr(Ctr::kLoadsRemoteFwd);
+    EXPECT_GT(remote, 0u) << to_string(level);
+    EXPECT_EQ(ctr(Ctr::kQpiDataFlits), remote) << to_string(level);
+  }
+}
+
 TEST(Latency, MeasuredLinesCapped) {
   System sys(SystemConfig::source_snoop());
   LatencyConfig lc = config(0, 0, Mesif::kModified, mib(1));

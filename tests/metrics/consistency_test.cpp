@@ -63,11 +63,27 @@ TEST(MetricsConsistency, StaleSharedDramPaysDirectoryBroadcasts) {
   EXPECT_LE(stale, snoop_all);
   // A broadcast fans out to at least one peer, visible to the engine too.
   EXPECT_GE(engine_ctr(reg, Ctr::kSnoopBroadcasts), snoop_all);
-  // Directory lookups are exactly the engine's count (same event, two
-  // vocabularies), and every broadcast followed a lookup.
-  EXPECT_EQ(mctr(reg, MC::kHaDirectoryLookup),
-            engine_ctr(reg, Ctr::kDirectoryLookups));
-  EXPECT_LE(snoop_all, mctr(reg, MC::kHaDirectoryLookup));
+  // Every broadcast followed a directory lookup.
+  EXPECT_LE(snoop_all, engine_ctr(reg, Ctr::kDirectoryLookups));
+
+  // The reader (node 0) and the home (the last node) sit on different
+  // sockets, so every request crosses QPI once, every load's data returns
+  // from the home's memory across it once, and the snoop-all broadcast
+  // crosses it once per peer on the reader's socket.  The per-link families
+  // must carry exactly those messages, broadcasts included (Table V's
+  // stale-directory traffic).
+  ASSERT_TRUE(topo.crosses_qpi(0, last));
+  std::uint64_t crossings = 0;
+  for (std::uint64_t c : reg.families()[static_cast<std::size_t>(
+           metrics::MFamily::kQpiLinkCrossings)]) {
+    crossings += c;
+  }
+  const std::uint64_t requests = mctr(reg, MC::kSadRemoteHome);
+  const std::uint64_t snoops = engine_ctr(reg, Ctr::kQpiSnoopFlits);
+  const std::uint64_t data_returns = engine_ctr(reg, Ctr::kLoadsRemoteDram);
+  EXPECT_GT(snoops, 0u);
+  EXPECT_EQ(data_returns, lc.max_measured_lines);
+  EXPECT_EQ(crossings, requests + snoops + data_returns);
 }
 
 TEST(MetricsConsistency, MigratorySharedHitsTheHitmeCache) {
@@ -91,10 +107,9 @@ TEST(MetricsConsistency, MigratorySharedHitsTheHitmeCache) {
 
   const metrics::MetricsRegistry reg = measure_cod(lc);
   using MC = metrics::MCtr;
-  const std::uint64_t hitme_hit = mctr(reg, MC::kHaHitmeHit);
+  const std::uint64_t hitme_hit = engine_ctr(reg, Ctr::kHitmeHit);
   EXPECT_GT(hitme_hit, 0u);
-  // Same event in both vocabularies, and every hit bypassed the snoops.
-  EXPECT_EQ(hitme_hit, engine_ctr(reg, Ctr::kHitmeHit));
+  // Every hit bypassed the snoops.
   EXPECT_GE(mctr(reg, MC::kHaBypass), hitme_hit);
 }
 

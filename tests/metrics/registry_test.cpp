@@ -12,8 +12,8 @@ namespace {
 
 TEST(MetricsRegistry, BumpsAccumulateAcrossEveryKind) {
   MetricsRegistry reg(7, 0);
-  reg.bump(MCtr::kHaHitmeHit);
-  reg.bump(MCtr::kHaHitmeHit, 4);
+  reg.bump(MCtr::kHaBypass);
+  reg.bump(MCtr::kHaBypass, 4);
   reg.meter(MMeter::kRingHops, 2.5);
   reg.meter(MMeter::kRingHops, 1.5);
   reg.set_gauge(MGauge::kHitmeEntries, 42);
@@ -21,7 +21,7 @@ TEST(MetricsRegistry, BumpsAccumulateAcrossEveryKind) {
   reg.observe(MHist::kAccessNs, 250.0);
 
   EXPECT_EQ(reg.stream(), 7u);
-  EXPECT_EQ(reg.counters()[static_cast<std::size_t>(MCtr::kHaHitmeHit)], 5u);
+  EXPECT_EQ(reg.counters()[static_cast<std::size_t>(MCtr::kHaBypass)], 5u);
   EXPECT_DOUBLE_EQ(reg.meters()[static_cast<std::size_t>(MMeter::kRingHops)],
                    4.0);
   EXPECT_EQ(reg.gauges()[static_cast<std::size_t>(MGauge::kHitmeEntries)], 42);

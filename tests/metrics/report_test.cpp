@@ -34,7 +34,7 @@ class ReportTest : public ::testing::Test {
 MergedMetrics sample_metrics() {
   MetricsHub hub;
   MetricsRegistry reg(3, 2);
-  reg.bump(MCtr::kHaHitmeHit, 17);
+  reg.bump(MCtr::kHaBypass, 17);
   reg.bump(MCtr::kHaStaleBroadcast, 5);
   reg.meter(MMeter::kRingHops, 12.5);
   reg.bump_family(MFamily::kQpiLinkBytes, 0, 72);
@@ -79,7 +79,7 @@ TEST_F(ReportTest, WriteThenParseRoundTrips) {
   EXPECT_EQ(map.at("manifest.protocol"), "moesi");
   ASSERT_EQ(map.at("manifest.timing_hash").size(), 16u);
 
-  EXPECT_EQ(map.at("metrics.counters.HA_HITME_HIT"), "17");
+  EXPECT_EQ(map.at("metrics.counters.HA_SNOOP_BYPASS"), "17");
   EXPECT_EQ(map.at("metrics.counters.HA_DIRECTORY_STALE_BCAST"), "5");
   // Schema is complete even for untouched events.
   EXPECT_EQ(map.at("metrics.counters.IMC_PAGE_CONFLICT"), "0");
