@@ -36,4 +36,8 @@ for bench in "${benches[@]}"; do
     --csv "$golden_dir/$bench.csv" > /dev/null
 done
 
+echo "golden: engine_spans"
+# The engine's span trees (the golden_engine_spans CTest byte-compares them).
+"$build_dir/tests/engine_spans" "$golden_dir/engine_spans.csv"
+
 echo "done — review with: git diff $golden_dir"
