@@ -37,6 +37,15 @@ class NodeList {
   std::size_t size_ = 0;
 };
 
+// Nodes 0..count-1 in order, without `skip_a` and `skip_b`.
+NodeList nodes_except(int count, int skip_a, int skip_b) {
+  NodeList nodes;
+  for (int n = 0; n < count; ++n) {
+    if (n != skip_a && n != skip_b) nodes.push_back(n);
+  }
+  return nodes;
+}
+
 using TComp = trace::Component;
 using TJoin = trace::Tracer::Join;
 using MC = metrics::MCtr;
@@ -88,7 +97,7 @@ void CoherenceEngine::trace_link(const char* name, int from, int to) {
   tracer_->leaf(qpi ? TComp::kQpi : TComp::kRing, name, m_.link_ns(from, to));
 }
 
-void CoherenceEngine::trace_request_to_ha(int req_node, int home_node) {
+void CoherenceEngine::trace_ha_entry(int req_node, int home_node) {
   if (tracer_ == nullptr) return;
   tracer_->open_group(TComp::kRing, "request_to_ha");
   if (req_node == home_node) {
@@ -101,6 +110,8 @@ void CoherenceEngine::trace_request_to_ha(int req_node, int home_node) {
     tracer_->leaf(TComp::kRing, "qpi_to_imc_ring", m_.qpi_to_ha_ns(home_node));
   }
   tracer_->close_group(m_.request_to_ha(req_node, home_node));
+  tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", m_.timing.ca_to_ha_fixed);
+  tracer_->leaf(TComp::kHa, "ha_processing", m_.timing.ha_processing);
 }
 
 // --- metrics helpers ---------------------------------------------------------
@@ -281,54 +292,90 @@ bool CoherenceEngine::invalidate_core(int global_core, LineAddr line,
 }
 
 // --- peer CA snoops ------------------------------------------------------------
-// Callers wrap each call in an open_group/close_group pair; the leaves
+// The caller wraps each call in an open_group/close_group pair; the leaves
 // emitted here are the group's children and sum to handling_ns exactly.
 
-CoherenceEngine::PeerSnoop CoherenceEngine::snoop_peer_read(int peer_node,
-                                                            LineAddr line) {
+CoherenceEngine::PeerSnoop CoherenceEngine::snoop_peer(int peer_node,
+                                                       LineAddr line,
+                                                       obs::LineOp op) {
   m_.counters.bump(Ctr::kSnoopsSent);
   if (m_.metrics != nullptr) {
     m_.metrics->bump_family(metrics::MFamily::kRingStopCbo,
                             static_cast<std::size_t>(peer_node));
   }
   const NumaNode& node = m_.topo.node(peer_node);
-  const int slice = m_.slice_for(peer_node, line);
-  CacheArray& l3 = m_.l3_slice(node.socket, slice);
+  CacheArray& l3 = m_.l3_slice(node.socket, m_.slice_for(peer_node, line));
 
   PeerSnoop result;
+  // One handling step: its ns joins handling_ns and its leaf the trace.
+  auto pay = [&](TComp comp, const char* name, double ns) {
+    result.handling_ns += ns;
+    if (tracer_ != nullptr) tracer_->leaf(comp, name, ns);
+  };
   result.handling_ns = m_.timing.snoop_ca_lookup;
   if (tracer_ != nullptr) {
     tracer_->leaf(TComp::kCbo, "snoop_ca_lookup", m_.timing.snoop_ca_lookup);
   }
   const CacheArray::Ref entry = l3.lookup(line, /*touch=*/false);
   if (!entry) return result;
-
+  result.held = true;
   const Mesif found = entry.state();
+  std::uint32_t cv = entry.core_valid();
+
+  if (op == obs::LineOp::kSnoopInvalidate) {
+    // Removes the peer's copies.  Dirty data migrates to the requester (an
+    // M transfer): the extraction is paid, memory stays untouched.
+    bool dirty = is_dirty(found);
+    while (cv != 0) {
+      const int owner_local = std::countr_zero(cv);
+      cv &= cv - 1;
+      dirty |= invalidate_core(m_.topo.global_core(node.socket, owner_local),
+                               line, op);
+    }
+    if (entry.core_valid() != 0) {
+      pay(TComp::kCoreSnoop, "core_valid_snoop", m_.timing.core_snoop_external);
+    }
+    if (dirty) pay(TComp::kCore, "dirty_transfer", m_.timing.core_data_l2);
+    result.dirty = dirty && entry.core_valid() != 0;
+    obs_transition(obs::Level::kL3, peer_node, line, found, op,
+                   Mesif::kInvalid);
+    l3.erase(line);
+    return result;
+  }
+
+  if (op == obs::LineOp::kSnoopUpdate) {
+    // Every core copy is refreshed in place and demoted to Shared: the
+    // peers keep reading their (now clean w.r.t. the new owner) copies
+    // without a miss — the whole point of the update protocol.
+    m_.counters.bump(Ctr::kUpdatesSent);
+    if (cv != 0) {
+      pay(TComp::kCoreSnoop, "core_valid_snoop", m_.timing.core_snoop_external);
+    }
+    while (cv != 0) {
+      const int owner_local = std::countr_zero(cv);
+      cv &= cv - 1;
+      snoop_core(m_.topo.global_core(node.socket, owner_local), line,
+                 Mesif::kShared, op);
+    }
+    entry.state() = pol_.next(found, protocol::Op::kSnoopUpdate);
+    obs_transition(obs::Level::kL3, peer_node, line, found, op, entry.state());
+    return result;
+  }
+
+  // A read: the owner demotes to S and may forward.
   const protocol::SnoopReadReaction& rx = pol_.snoop_read(found);
   result.had_shared = rx.responds_shared;
   if (!rx.forwards) return result;  // Shared answers without data; I misses.
 
-  if (rx.may_hold_newer) {
-    const std::uint32_t cv = entry.core_valid();
-    const bool multi = std::popcount(cv) > 1;
-    if (m_.features.core_valid_bits && cv != 0 && !multi) {
-      // Exactly one core may hold a newer copy: chase the core-valid bit.
-      const int owner_local = std::countr_zero(cv);
-      const int owner = m_.topo.global_core(node.socket, owner_local);
-      result.handling_ns += m_.timing.core_snoop_external;
-      if (tracer_ != nullptr) {
-        tracer_->leaf(TComp::kCoreSnoop, "core_valid_snoop",
-                      m_.timing.core_snoop_external);
-      }
-      CoreSnoop cs = snoop_core(owner, line, Mesif::kShared,
-                                obs::LineOp::kSnoopRead);
-      if (cs.dirty) {
-        result.handling_ns += cs.data_ns;
-        if (tracer_ != nullptr) {
-          tracer_->leaf(TComp::kCore, "core_data_extract", cs.data_ns);
-        }
-        entry.state() = Mesif::kModified;  // refreshed with the dirty data
-      }
+  if (rx.may_hold_newer && m_.features.core_valid_bits && cv != 0 &&
+      std::popcount(cv) == 1) {
+    // Exactly one core may hold a newer copy: chase the core-valid bit.
+    const int owner = m_.topo.global_core(node.socket, std::countr_zero(cv));
+    pay(TComp::kCoreSnoop, "core_valid_snoop", m_.timing.core_snoop_external);
+    const CoreSnoop cs = snoop_core(owner, line, Mesif::kShared, op);
+    if (cs.dirty) {
+      pay(TComp::kCore, "core_data_extract", cs.data_ns);
+      entry.state() = Mesif::kModified;  // refreshed with the dirty data
     }
   }
   // The peer's copy was possibly dirty.  Under a writeback-on-demote policy
@@ -345,100 +392,72 @@ CoherenceEngine::PeerSnoop CoherenceEngine::snoop_peer_read(int peer_node,
   entry.state() = pol_.next(entry.state(), protocol::Op::kSnoopRead);
   // One transition for the whole snoop: the state the snoop found (before
   // any core-valid refresh) to the state it left behind.
-  obs_transition(obs::Level::kL3, peer_node, line, found,
-                 obs::LineOp::kSnoopRead, entry.state());
+  obs_transition(obs::Level::kL3, peer_node, line, found, op, entry.state());
   result.forwarded = true;
   return result;
 }
 
-double CoherenceEngine::snoop_peer_invalidate(int peer_node, LineAddr line) {
-  m_.counters.bump(Ctr::kSnoopsSent);
-  if (m_.metrics != nullptr) {
-    m_.metrics->bump_family(metrics::MFamily::kRingStopCbo,
-                            static_cast<std::size_t>(peer_node));
-  }
-  const NumaNode& node = m_.topo.node(peer_node);
-  const int slice = m_.slice_for(peer_node, line);
-  CacheArray& l3 = m_.l3_slice(node.socket, slice);
+// --- the snoop broadcast ---------------------------------------------------------
 
-  double handling = m_.timing.snoop_ca_lookup;
-  if (tracer_ != nullptr) {
-    tracer_->leaf(TComp::kCbo, "snoop_ca_lookup", m_.timing.snoop_ca_lookup);
-  }
-  const CacheArray::Ref entry = l3.lookup(line, /*touch=*/false);
-  if (!entry) return handling;
-
-  std::uint32_t cv = entry.core_valid();
-  bool dirty = is_dirty(entry.state());
-  while (cv != 0) {
-    const int owner_local = std::countr_zero(cv);
-    cv &= cv - 1;
-    dirty |= invalidate_core(m_.topo.global_core(node.socket, owner_local),
-                             line, obs::LineOp::kSnoopInvalidate);
-  }
-  if (entry.core_valid() != 0) {
-    handling += m_.timing.core_snoop_external;
+CoherenceEngine::Race CoherenceEngine::broadcast(std::span<const int> targets,
+                                                 LineAddr line, int home,
+                                                 const Broadcast& b) {
+  struct Names {
+    const char* out;
+    const char* handling;
+    const char* response;
+    Msg msg;
+  };
+  static constexpr Names kRead{"snoop_out", "peer_ca_handling",
+                               "response_to_ha", Msg::kSnoop};
+  static constexpr Names kInvalidate{"invalidate_out", "peer_invalidate",
+                                     "ack_to_ha", Msg::kSnoop};
+  static constexpr Names kUpdate{"update_out", "peer_update", "ack_to_ha",
+                                 Msg::kUpdate};
+  const Names& names = b.op == obs::LineOp::kSnoopRead         ? kRead
+                       : b.op == obs::LineOp::kSnoopInvalidate ? kInvalidate
+                                                               : kUpdate;
+  Race race;
+  race.slowest = b.slowest;
+  int fanout = 0;
+  for (const int p : targets) {
+    send(b.from, p, names.msg);
+    const double stagger = b.stagger.value_or(0.0) * fanout++;
     if (tracer_ != nullptr) {
-      tracer_->leaf(TComp::kCoreSnoop, "core_valid_snoop",
-                    m_.timing.core_snoop_external);
+      tracer_->open_leg(kNodeName[p]);
+      if (b.stagger) tracer_->leaf(TComp::kHa, "broadcast_fanout", stagger);
+      trace_link(names.out, b.from, p);
+      tracer_->open_group(TComp::kCbo, names.handling);
     }
-  }
-  if (dirty) {
-    // The dirty data migrates to the requester (M transfer); account the
-    // extraction cost but leave memory untouched.
-    handling += m_.timing.core_data_l2;
+    const PeerSnoop snoop = snoop_peer(p, line, b.op);
+    if (tracer_ != nullptr) tracer_->close_group(snoop.handling_ns);
+    const double handled =
+        b.launch + stagger + m_.link_ns(b.from, p) + snoop.handling_ns;
+    if (snoop.forwarded) {
+      race.winner = p;
+      race.data_sent_ns = handled;
+      race.dirty_forward = snoop.dirty_forward;
+      if (b.forward_penalty) {
+        // A third node supplies the data: the HA still has to collect the
+        // response and complete the transaction before the load retires.
+        race.data_sent_ns = handled + *b.forward_penalty;
+        if (tracer_ != nullptr) {
+          tracer_->leaf(TComp::kHa, "three_node_penalty", *b.forward_penalty);
+        }
+      }
+      if (tracer_ != nullptr) tracer_->close_leg();
+      return race;
+    }
+    race.any_shared |= snoop.had_shared;
+    race.any_held |= snoop.held;
+    if (snoop.dirty) race.dirty_node = p;
     if (tracer_ != nullptr) {
-      tracer_->leaf(TComp::kCore, "dirty_transfer", m_.timing.core_data_l2);
+      trace_link(names.response, p, home);
+      tracer_->close_leg();
     }
+    race.slowest = std::max(race.slowest, handled + m_.link_ns(p, home));
   }
-  obs_transition(obs::Level::kL3, peer_node, line, entry.state(),
-                 obs::LineOp::kSnoopInvalidate, Mesif::kInvalid);
-  l3.erase(line);
-  return handling;
-}
-
-double CoherenceEngine::snoop_peer_update(int peer_node, LineAddr line,
-                                          bool* had_copy) {
-  m_.counters.bump(Ctr::kSnoopsSent);
-  if (m_.metrics != nullptr) {
-    m_.metrics->bump_family(metrics::MFamily::kRingStopCbo,
-                            static_cast<std::size_t>(peer_node));
-  }
-  const NumaNode& node = m_.topo.node(peer_node);
-  const int slice = m_.slice_for(peer_node, line);
-  CacheArray& l3 = m_.l3_slice(node.socket, slice);
-
-  double handling = m_.timing.snoop_ca_lookup;
-  if (tracer_ != nullptr) {
-    tracer_->leaf(TComp::kCbo, "snoop_ca_lookup", m_.timing.snoop_ca_lookup);
-  }
-  const CacheArray::Ref entry = l3.lookup(line, /*touch=*/false);
-  if (!entry) return handling;
-
-  *had_copy = true;
-  m_.counters.bump(Ctr::kUpdatesSent);
-  // Every core copy is refreshed in place and demoted to Shared: the peers
-  // keep reading their (now clean w.r.t. the new owner) copies without a
-  // miss — the whole point of the update protocol.
-  std::uint32_t cv = entry.core_valid();
-  if (cv != 0) {
-    handling += m_.timing.core_snoop_external;
-    if (tracer_ != nullptr) {
-      tracer_->leaf(TComp::kCoreSnoop, "core_valid_snoop",
-                    m_.timing.core_snoop_external);
-    }
-    while (cv != 0) {
-      const int owner_local = std::countr_zero(cv);
-      cv &= cv - 1;
-      snoop_core(m_.topo.global_core(node.socket, owner_local), line,
-                 Mesif::kShared, obs::LineOp::kSnoopUpdate);
-    }
-  }
-  const Mesif found = entry.state();
-  entry.state() = pol_.next(found, protocol::Op::kSnoopUpdate);
-  obs_transition(obs::Level::kL3, peer_node, line, found,
-                 obs::LineOp::kSnoopUpdate, entry.state());
-  return handling;
+  return race;
 }
 
 // --- victim / fill plumbing -----------------------------------------------------
@@ -732,10 +751,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
   fill.node_state = pol_.clean_shared_grant;
 
   // Peer nodes other than requester and home.
-  NodeList peers;
-  for (int n = 0; n < m_.topo.node_count(); ++n) {
-    if (n != req_node && n != h) peers.push_back(n);
-  }
+  const NodeList peers = nodes_except(m_.topo.node_count(), req_node, h);
 
   const double t_req_at_ha =
       lat0 + m_.request_to_ha(req_node, h) + t.ca_to_ha_fixed;
@@ -808,122 +824,56 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       fill.ns += set_directory(home, line, DirState::kSnoopAll, DirWrite::kEcc);
     }
   };
+  // A peer's forward ended the broadcast race.
+  auto served_by_winner = [&](const Race& race) {
+    if (tracer_ != nullptr) tracer_->close_parallel(TJoin::kWinner);
+    served_by_forward(race.data_sent_ns, race.winner);
+    record_forward_state(race.winner, !race.dirty_forward);
+    return fill;
+  };
 
   if (!directory_on()) {
     // ---- snoopy modes (source snoop / home snoop without directory) -------
     // The home node's CA is a snoop target like any other peer, first.
+    // Source snoop broadcasts from the requester CA at lat0, racing the
+    // request to the HA; home snoop broadcasts from the HA after it
+    // received and processed the request (the paper's "delayed snoop
+    // broadcast").  Either way the responses race the DRAM read.
     NodeList snooped;
     if (h != req_node) snooped.push_back(h);
     for (int p : peers) snooped.push_back(p);
 
-    if (source_snoop()) {
-      // The requester CA broadcasts at lat0; responses race the DRAM read.
-      if (tracer_ != nullptr) tracer_->open_parallel("source_snoop_race");
-      double slowest_response_at_ha = t_req_at_ha;
-      bool any_shared = false;
-      for (int p : snooped) {
-        send(req_node, p, Msg::kSnoop);
-        if (tracer_ != nullptr) {
-          tracer_->open_leg(kNodeName[p]);
-          trace_link("snoop_out", req_node, p);
-          tracer_->open_group(TComp::kCbo, "peer_ca_handling");
-        }
-        PeerSnoop snoop = snoop_peer_read(p, line);
-        if (tracer_ != nullptr) tracer_->close_group(snoop.handling_ns);
-        const double response_at_peer = lat0 + m_.link_ns(req_node, p) + snoop.handling_ns;
-        if (snoop.forwarded) {
-          if (tracer_ != nullptr) {
-            tracer_->close_leg();
-            tracer_->close_parallel(TJoin::kWinner);
-          }
-          served_by_forward(response_at_peer, p);
-          record_forward_state(p, !snoop.dirty_forward);
-          return fill;
-        }
-        any_shared |= snoop.had_shared;
-        if (tracer_ != nullptr) {
-          trace_link("response_to_ha", p, h);
-          tracer_->close_leg();
-        }
-        slowest_response_at_ha =
-            std::max(slowest_response_at_ha, response_at_peer + m_.link_ns(p, h));
-      }
-      if (tracer_ != nullptr) {
-        tracer_->open_leg("memory");
-        trace_request_to_ha(req_node, h);
-        tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", t.ca_to_ha_fixed);
-        tracer_->leaf(TComp::kHa, "ha_processing", t.ha_processing);
-      }
-      const double dram_ready = t_req_at_ha + t.ha_processing + dram_read(home);
-      if (tracer_ != nullptr) {
-        tracer_->close_leg();
-        tracer_->close_parallel(TJoin::kAll);
-      }
-      served_by_memory(std::max(dram_ready, slowest_response_at_ha));
-      record_memory_grant(/*exclusive=*/!any_shared);
-      if (any_shared) fill.node_state = pol_.clean_shared_grant;
-      return fill;
-    }
-
-    // Home snoop: the HA broadcasts after receiving and processing the
-    // request — the paper's "delayed snoop broadcast".
-    if (tracer_ != nullptr) {
-      trace_request_to_ha(req_node, h);
-      tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", t.ca_to_ha_fixed);
-      tracer_->leaf(TComp::kHa, "ha_processing", t.ha_processing);
-      tracer_->open_parallel("home_snoop_race");
-    }
+    const bool from_requester = source_snoop();
     const double snoop_base = t_req_at_ha + t.ha_processing;
-    double slowest_response = snoop_base;
-    bool any_shared = false;
-    int fanout = 0;
-    for (int p : snooped) {
-      send(h, p, Msg::kSnoop);
-      const double stagger = t.broadcast_fanout * fanout++;
-      if (tracer_ != nullptr) {
-        tracer_->open_leg(kNodeName[p]);
-        tracer_->leaf(TComp::kHa, "broadcast_fanout", stagger);
-        trace_link("snoop_out", h, p);
-        tracer_->open_group(TComp::kCbo, "peer_ca_handling");
-      }
-      PeerSnoop snoop = snoop_peer_read(p, line);
-      if (tracer_ != nullptr) tracer_->close_group(snoop.handling_ns);
-      const double launch = snoop_base + stagger;
-      const double handled_at_peer = launch + m_.link_ns(h, p) + snoop.handling_ns;
-      if (snoop.forwarded) {
-        if (tracer_ != nullptr) {
-          tracer_->close_leg();
-          tracer_->close_parallel(TJoin::kWinner);
-        }
-        served_by_forward(handled_at_peer, p);
-        record_forward_state(p, !snoop.dirty_forward);
-        return fill;
-      }
-      any_shared |= snoop.had_shared;
-      if (tracer_ != nullptr) {
-        trace_link("response_to_ha", p, h);
-        tracer_->close_leg();
-      }
-      slowest_response = std::max(slowest_response, handled_at_peer + m_.link_ns(p, h));
+    if (!from_requester) trace_ha_entry(req_node, h);
+    if (tracer_ != nullptr) {
+      tracer_->open_parallel(from_requester ? "source_snoop_race"
+                                            : "home_snoop_race");
     }
+    const Race race =
+        from_requester
+            ? broadcast(snooped, line, h,
+                        {obs::LineOp::kSnoopRead, req_node, lat0, t_req_at_ha,
+                         std::nullopt, std::nullopt})
+            : broadcast(snooped, line, h,
+                        {obs::LineOp::kSnoopRead, h, snoop_base, snoop_base,
+                         t.broadcast_fanout, std::nullopt});
+    if (race.winner >= 0) return served_by_winner(race);
     if (tracer_ != nullptr) tracer_->open_leg("memory");
+    if (from_requester) trace_ha_entry(req_node, h);
     const double dram_ready = t_req_at_ha + t.ha_processing + dram_read(home);
     if (tracer_ != nullptr) {
       tracer_->close_leg();
       tracer_->close_parallel(TJoin::kAll);
     }
-    served_by_memory(std::max(dram_ready, slowest_response));
-    record_memory_grant(/*exclusive=*/!any_shared);
-    if (any_shared) fill.node_state = pol_.clean_shared_grant;
+    served_by_memory(std::max(dram_ready, race.slowest));
+    record_memory_grant(/*exclusive=*/!race.any_shared);
+    if (race.any_shared) fill.node_state = pol_.clean_shared_grant;
     return fill;
   }
 
   // ---- directory-assisted home snoop (COD) ---------------------------------
-  if (tracer_ != nullptr) {
-    trace_request_to_ha(req_node, h);
-    tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", t.ca_to_ha_fixed);
-    tracer_->leaf(TComp::kHa, "ha_processing", t.ha_processing);
-  }
+  trace_ha_entry(req_node, h);
   // 1. The home node's CA is snooped locally, independent of the directory
   //    state (Moga et al.; paper §VI-C).  The in-memory directory only
   //    tracks copies *outside* the home node, so a Shared copy found here
@@ -935,7 +885,7 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       tracer_->open_leg(kNodeName[h]);
       tracer_->open_group(TComp::kCbo, "peer_ca_handling");
     }
-    PeerSnoop local_snoop = snoop_peer_read(h, line);
+    const PeerSnoop local_snoop = snoop_peer(h, line, obs::LineOp::kSnoopRead);
     if (tracer_ != nullptr) {
       tracer_->close_group(local_snoop.handling_ns);
       tracer_->close_leg();
@@ -1021,41 +971,11 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
     tracer_->leaf(TComp::kDirectory, "dir_snoop_all", 0.0);
     tracer_->open_parallel("stale_directory_broadcast");
   }
-  double slowest_response = dram_ready;
-  bool any_shared = home_had_shared;
-  int fanout = 0;
-  for (int p : peers) {
-    send(h, p, Msg::kSnoop);
-    const double stagger = t.broadcast_fanout * fanout++;
-    if (tracer_ != nullptr) {
-      tracer_->open_leg(kNodeName[p]);
-      tracer_->leaf(TComp::kHa, "broadcast_fanout", stagger);
-      trace_link("snoop_out", h, p);
-      tracer_->open_group(TComp::kCbo, "peer_ca_handling");
-    }
-    PeerSnoop snoop = snoop_peer_read(p, line);
-    if (tracer_ != nullptr) tracer_->close_group(snoop.handling_ns);
-    const double launch = dram_ready + stagger;
-    const double handled_at_peer = launch + m_.link_ns(h, p) + snoop.handling_ns;
-    if (snoop.forwarded) {
-      // A third node supplies the data: the HA still has to collect the
-      // response and complete the transaction before the load can retire.
-      if (tracer_ != nullptr) {
-        tracer_->leaf(TComp::kHa, "three_node_penalty", t.three_node_penalty);
-        tracer_->close_leg();
-        tracer_->close_parallel(TJoin::kWinner);
-      }
-      served_by_forward(handled_at_peer + t.three_node_penalty, p);
-      record_forward_state(p, !snoop.dirty_forward);
-      return fill;
-    }
-    any_shared |= snoop.had_shared;
-    if (tracer_ != nullptr) {
-      trace_link("response_to_ha", p, h);
-      tracer_->close_leg();
-    }
-    slowest_response = std::max(slowest_response, handled_at_peer + m_.link_ns(p, h));
-  }
+  const Race race =
+      broadcast(peers, line, h,
+                {obs::LineOp::kSnoopRead, h, dram_ready, dram_ready,
+                 t.broadcast_fanout, t.three_node_penalty});
+  if (race.winner >= 0) return served_by_winner(race);
   // Nobody answered: the directory was stale (silent L3 evictions).  Serve
   // from memory after the HA has collected and processed all responses.
   metric(MC::kHaStaleBroadcast);
@@ -1064,8 +984,9 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
     tracer_->leaf(TComp::kHa, "broadcast_collect",
                   t.broadcast_collect * static_cast<double>(peers.size()));
   }
-  slowest_response += t.broadcast_collect * static_cast<double>(peers.size());
-  served_by_memory(slowest_response);
+  const bool any_shared = home_had_shared || race.any_shared;
+  served_by_memory(race.slowest +
+                   t.broadcast_collect * static_cast<double>(peers.size()));
   record_memory_grant(/*exclusive=*/!any_shared);
   if (any_shared) fill.node_state = pol_.clean_shared_grant;
   return fill;
@@ -1216,10 +1137,7 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
   fill.core_state = Mesif::kModified;
   fill.node_state = Mesif::kExclusive;
 
-  NodeList snooped;
-  for (int n = 0; n < m_.topo.node_count(); ++n) {
-    if (n != req_node) snooped.push_back(n);
-  }
+  const NodeList snooped = nodes_except(m_.topo.node_count(), req_node, req_node);
 
   const double t_req_at_ha =
       lat0 + m_.request_to_ha(req_node, h) + t.ca_to_ha_fixed;
@@ -1229,51 +1147,16 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
   // the DRAM read (for the data) gate completion.  In source snoop the
   // invalidations launch from the requester CA; otherwise from the HA.
   const bool from_requester = source_snoop() && !directory_on();
-  const double snoop_base =
-      from_requester ? lat0 : t_req_at_ha + t.ha_processing;
+  if (!from_requester) trace_ha_entry(req_node, h);
+  if (tracer_ != nullptr) tracer_->open_parallel("ownership_race");
+  const Race race = broadcast(
+      snooped, line, h,
+      {obs::LineOp::kSnoopInvalidate, from_requester ? req_node : h,
+       from_requester ? lat0 : t_req_at_ha + t.ha_processing, t_req_at_ha,
+       t.broadcast_fanout, std::nullopt});
 
-  if (tracer_ != nullptr) {
-    if (!from_requester) {
-      trace_request_to_ha(req_node, h);
-      tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", t.ca_to_ha_fixed);
-      tracer_->leaf(TComp::kHa, "ha_processing", t.ha_processing);
-    }
-    tracer_->open_parallel("ownership_race");
-  }
-
-  double slowest_ack = t_req_at_ha;
-  int fanout = 0;
-  bool dirty_transfer = false;
-  for (int p : snooped) {
-    const int from = from_requester ? req_node : h;
-    send(from, p, Msg::kSnoop);
-    const double stagger = t.broadcast_fanout * fanout++;
-    if (tracer_ != nullptr) {
-      tracer_->open_leg(kNodeName[p]);
-      tracer_->leaf(TComp::kHa, "broadcast_fanout", stagger);
-      trace_link("invalidate_out", from, p);
-      tracer_->open_group(TComp::kCbo, "peer_invalidate");
-    }
-    const double handling = snoop_peer_invalidate(p, line);
-    if (tracer_ != nullptr) {
-      tracer_->close_group(handling);
-      trace_link("ack_to_ha", p, h);
-      tracer_->close_leg();
-    }
-    dirty_transfer |= handling > t.snoop_ca_lookup + t.core_snoop_external;
-    const double launch = snoop_base + stagger;
-    slowest_ack = std::max(
-        slowest_ack, launch + m_.link_ns(from, p) + handling + m_.link_ns(p, h));
-  }
-
-  if (tracer_ != nullptr) {
-    tracer_->open_leg("memory");
-    if (from_requester) {
-      trace_request_to_ha(req_node, h);
-      tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", t.ca_to_ha_fixed);
-      tracer_->leaf(TComp::kHa, "ha_processing", t.ha_processing);
-    }
-  }
+  if (tracer_ != nullptr) tracer_->open_leg("memory");
+  if (from_requester) trace_ha_entry(req_node, h);
   const double dram_ready = t_req_at_ha + t.ha_processing + dram_read(home);
   if (tracer_ != nullptr) {
     tracer_->close_leg();
@@ -1282,11 +1165,11 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
     tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
   }
   send(h, req_node, Msg::kData);
-  fill.ns = std::max(dram_ready, slowest_ack) + m_.link_ns(h, req_node) +
+  fill.ns = std::max(dram_ready, race.slowest) + m_.link_ns(h, req_node) +
             t.response_return;
   fill.source = h == req_node ? ServiceSource::kLocalDram
                               : ServiceSource::kRemoteDram;
-  if (dirty_transfer) fill.source = ServiceSource::kRemoteFwd;
+  if (race.dirty_node >= 0) fill.source = ServiceSource::kRemoteFwd;
   fill.source_node = h;
 
   if (directory_on()) {
@@ -1386,10 +1269,7 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
   fill.source = ServiceSource::kL3;
   fill.source_node = req_node;
 
-  NodeList snooped;
-  for (int n = 0; n < m_.topo.node_count(); ++n) {
-    if (n != req_node) snooped.push_back(n);
-  }
+  const NodeList snooped = nodes_except(m_.topo.node_count(), req_node, req_node);
 
   const double t_req_at_ha =
       lat0 + m_.request_to_ha(req_node, h) + t.ca_to_ha_fixed;
@@ -1399,52 +1279,17 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
   // it carries the line's data, peers keep their copies, and no DRAM data
   // read gates completion (the writer supplies the data).
   const bool from_requester = source_snoop() && !directory_on();
-  const double snoop_base =
-      from_requester ? lat0 : t_req_at_ha + t.ha_processing;
+  if (!from_requester) trace_ha_entry(req_node, h);
+  if (tracer_ != nullptr) tracer_->open_parallel("update_race");
+  const Race race = broadcast(
+      snooped, line, h,
+      {obs::LineOp::kSnoopUpdate, from_requester ? req_node : h,
+       from_requester ? lat0 : t_req_at_ha + t.ha_processing, t_req_at_ha,
+       t.broadcast_fanout, std::nullopt});
+  const bool remote_copy = race.any_held;
 
-  if (tracer_ != nullptr) {
-    if (!from_requester) {
-      trace_request_to_ha(req_node, h);
-      tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", t.ca_to_ha_fixed);
-      tracer_->leaf(TComp::kHa, "ha_processing", t.ha_processing);
-    }
-    tracer_->open_parallel("update_race");
-  }
-
-  double slowest_ack = t_req_at_ha;
-  int fanout = 0;
-  bool remote_copy = false;
-  for (int p : snooped) {
-    const int from = from_requester ? req_node : h;
-    send(from, p, Msg::kUpdate);
-    const double stagger = t.broadcast_fanout * fanout++;
-    if (tracer_ != nullptr) {
-      tracer_->open_leg(kNodeName[p]);
-      tracer_->leaf(TComp::kHa, "broadcast_fanout", stagger);
-      trace_link("update_out", from, p);
-      tracer_->open_group(TComp::kCbo, "peer_update");
-    }
-    bool had_copy = false;
-    const double handling = snoop_peer_update(p, line, &had_copy);
-    remote_copy |= had_copy;
-    if (tracer_ != nullptr) {
-      tracer_->close_group(handling);
-      trace_link("ack_to_ha", p, h);
-      tracer_->close_leg();
-    }
-    const double launch = snoop_base + stagger;
-    slowest_ack = std::max(
-        slowest_ack, launch + m_.link_ns(from, p) + handling + m_.link_ns(p, h));
-  }
-
-  if (tracer_ != nullptr) {
-    tracer_->open_leg("memory");
-    if (from_requester) {
-      trace_request_to_ha(req_node, h);
-      tracer_->leaf(TComp::kHa, "ca_to_ha_fixed", t.ca_to_ha_fixed);
-      tracer_->leaf(TComp::kHa, "ha_processing", t.ha_processing);
-    }
-  }
+  if (tracer_ != nullptr) tracer_->open_leg("memory");
+  if (from_requester) trace_ha_entry(req_node, h);
   const double ha_ready = t_req_at_ha + t.ha_processing;
   if (tracer_ != nullptr) {
     tracer_->close_leg();
@@ -1453,7 +1298,7 @@ CoherenceEngine::Fill CoherenceEngine::home_update(int core, int req_node,
     tracer_->leaf(TComp::kCbo, "response_return", t.response_return);
   }
   send(h, req_node, Msg::kAck);
-  fill.ns = std::max(ha_ready, slowest_ack) + m_.link_ns(h, req_node) +
+  fill.ns = std::max(ha_ready, race.slowest) + m_.link_ns(h, req_node) +
             t.response_return;
 
   // In-node sharers are refreshed in place like ca_write's local pass

@@ -22,6 +22,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 
 #include "coh/protocol.h"
 #include "coh/state.h"
@@ -109,25 +111,57 @@ class CoherenceEngine {
   // copies demoted to Shared; no DRAM data read is needed.
   Fill home_update(int core, int req_node, LineAddr line);
 
-  // Snoop of one peer node's CA for a read.  Applies state transitions
-  // (owner demotes to S, dirty data scheduled for writeback).  Returns
-  // whether the peer had a forwardable copy and the peer-side handling time
-  // (slice lookup plus any core snoop / dirty-data extraction).
+  // One snoop of a peer node's CA, for the bus operation `op`:
+  //   kSnoopRead       — the owner demotes to S and may forward (a Modified
+  //                      line writes back first under MESIF/MESI);
+  //   kSnoopInvalidate — every copy in the peer dies, dirty data migrates
+  //                      to the requester;
+  //   kSnoopUpdate     — every copy is refreshed in place, demoted to S.
+  // Returns the peer-side handling time (slice lookup plus any core snoop
+  // or dirty-data extraction) and what the peer held.
   struct PeerSnoop {
-    bool forwarded = false;  // peer supplies the data
-    bool had_shared = false; // peer holds a non-forwardable S copy
-    bool dirty_forward = false;  // data forwarded without a memory writeback
-                                 // (MOESI/Dragon Owned): memory copy stale
     double handling_ns = 0.0;
+    bool held = false;        // the peer's L3 held the line
+    bool forwarded = false;   // read: the peer supplies the data
+    bool had_shared = false;  // read: the peer keeps a non-forwardable S copy
+    bool dirty_forward = false;  // read: forwarded without a memory writeback
+                                 // (MOESI/Dragon Owned): memory copy stale
+    bool dirty = false;       // invalidate: dirty data migrates to the requester
   };
-  PeerSnoop snoop_peer_read(int peer_node, LineAddr line);
-  // Invalidating snoop (RFO): removes the peer's copies; dirty data is
-  // written back to memory.  Returns handling time.
-  double snoop_peer_invalidate(int peer_node, LineAddr line);
-  // Update snoop (Dragon): refreshes the peer's copies in place, demoting
-  // them to Shared.  Returns handling time; sets `had_copy` when the peer
-  // held the line.
-  double snoop_peer_update(int peer_node, LineAddr line, bool* had_copy);
+  PeerSnoop snoop_peer(int peer_node, LineAddr line, obs::LineOp op);
+
+  // The snoop broadcast of every mode: source snoop launches it from the
+  // requester CA at once, home snoop from the HA after it processed the
+  // request, COD only once the DRAM read returned the directory.  What
+  // differs is data, never the caller's identity.
+  struct Broadcast {
+    obs::LineOp op;  // kSnoopRead, kSnoopInvalidate or kSnoopUpdate
+    int from;        // node whose agent sends the snoops
+    double launch;   // when the first snoop leaves `from`
+    double slowest;  // the race's floor at the HA before any response
+    // Per-peer launch stagger, one broadcast_fanout leaf per peer (the
+    // first one 0 ns); none: every snoop leaves at `launch`, no leaf.
+    std::optional<double> stagger;
+    // Extra cost a forwarding peer pays before its data leaves (COD's
+    // three_node_penalty leaf); none: no leaf.
+    std::optional<double> forward_penalty;
+  };
+  struct Race {
+    double slowest = 0.0;       // the slowest response at the HA
+    bool any_shared = false;    // a peer kept a Shared copy
+    bool any_held = false;      // some peer held the line
+    int dirty_node = -1;        // the peer whose dirty data migrates (RFO)
+    int winner = -1;            // the forwarding peer that ended the race
+    double data_sent_ns = 0.0;  // when the winner's data leaves it
+    bool dirty_forward = false; // the winner's PeerSnoop::dirty_forward
+  };
+  // Runs the peer legs of an already-open parallel race: per target, the
+  // message, the leg with its stagger leaf, out-link and snoop_peer group,
+  // then the response link back to the HA node `home`.  A forward ends
+  // the race at once (its leg closed; later targets are never snooped) and
+  // the caller closes the race; otherwise the caller adds its memory leg.
+  Race broadcast(std::span<const int> targets, LineAddr line, int home,
+                 const Broadcast& b);
 
   // Snoops a single core's L1/L2 (core-valid bit chase).  If the core holds
   // the line Modified, the copy is demoted to `demote_to` and the L3 entry
@@ -203,8 +237,10 @@ class CoherenceEngine {
   // One leaf for the transport between two nodes' agents (kQpi across
   // sockets, kRing inside one).
   void trace_link(const char* name, int from, int to);
-  // The MachineState::request_to_ha() sum as a group span with per-segment children.
-  void trace_request_to_ha(int req_node, int home_node);
+  // The request's arrival at the HA: the MachineState::request_to_ha() sum
+  // as a group span with per-segment children, then the fixed HA entry
+  // cost and the HA's processing.
+  void trace_ha_entry(int req_node, int home_node);
 
   // Metrics helpers (no-ops when no registry is attached) --------------------
   // One counter bump behind the null check; keeps call sites one-liners.
