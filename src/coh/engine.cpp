@@ -1214,7 +1214,12 @@ CoherenceEngine::Fill CoherenceEngine::ca_update(int core, LineAddr line) {
     // Node-exclusive: no other node holds a copy, so the update never
     // leaves the node.  Mirrors the owned path of ca_write, except in-node
     // sharers keep their (refreshed, Shared) copies instead of dying.
+    // After a fill the L3 path is one term of the sum, so one group span.
+    if (missed && tracer_ != nullptr) {
+      tracer_->open_group(TComp::kCbo, "l3_after_fill");
+    }
     trace_l3_path(core);
+    if (missed && tracer_ != nullptr) tracer_->close_group(l3_path(core));
     Fill fill;
     fill.ns = miss_ns + l3_path(core);
     fill.source = missed ? miss_source : ServiceSource::kL3;
@@ -1244,7 +1249,13 @@ CoherenceEngine::Fill CoherenceEngine::ca_update(int core, LineAddr line) {
   }
 
   // Copies may exist in other nodes: broadcast the update through the HA.
+  // After a fill the update's ns is one term of the sum, so its spans form
+  // one group (IEEE addition commutes: fill + update == update + fill).
+  if (missed && tracer_ != nullptr) {
+    tracer_->open_group(TComp::kHa, "update_after_fill");
+  }
   Fill fill = home_update(core, req_node, line);
+  if (missed && tracer_ != nullptr) tracer_->close_group(fill.ns);
   fill.ns += miss_ns;
   if (missed) {
     fill.source = miss_source;

@@ -7,8 +7,9 @@
 //   * every kGroup's children fold from zero to exactly its cost;
 //   * AccessAttribution::total (the critical-path walk) equals ns exactly.
 //
-// Randomized operation soup over all four protocol configurations (source
-// snoop, home snoop, COD, and the COD directory-without-HitME ablation),
+// Randomized operation soup over all four snoop configurations (source
+// snoop, home snoop, COD, and the COD directory-without-HitME ablation)
+// under MESIF, and over the three snoop modes under MESI, MOESI and Dragon,
 // with flushes/evictions mixed in so accesses hit every engine path: L1/L2
 // hits, clean and dirty L3 forwards, local/remote DRAM with all three page
 // outcomes, directory hits and stale-directory broadcasts, HitME hits.
@@ -52,11 +53,10 @@ SystemConfig config_for(const Scenario& s) {
 
 class AttributionInvariant : public ::testing::TestWithParam<Scenario> {};
 
-TEST_P(AttributionInvariant, EveryAccessRecomposesExactly) {
-  const Scenario scenario = GetParam();
-  SCOPED_TRACE(hswtest::seed_note(scenario.seed));
-  System sys(config_for(scenario));
-  Xoshiro256 rng(hswtest::effective_seed(scenario.seed) ^ 0x5117ce);
+// Runs a seeded op soup and checks every traced access recomposes exactly.
+void expect_soup_recomposes(const SystemConfig& config, std::uint64_t seed) {
+  System sys(config);
+  Xoshiro256 rng(hswtest::effective_seed(seed) ^ 0x5117ce);
 
   // Retain every record: capacity above the access count.
   trace::Tracer tracer(trace::Tracer::Mode::kFull, 0, 1u << 15);
@@ -121,6 +121,12 @@ TEST_P(AttributionInvariant, EveryAccessRecomposesExactly) {
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
+TEST_P(AttributionInvariant, EveryAccessRecomposesExactly) {
+  const Scenario scenario = GetParam();
+  SCOPED_TRACE(hswtest::seed_note(scenario.seed));
+  expect_soup_recomposes(config_for(scenario), scenario.seed);
+}
+
 // The per-flow latencies the benches report must be reproduced by the
 // attribution machinery end to end: flush-heavy single-line ping-pong that
 // leans on the dirty-forward and writeback paths.
@@ -161,6 +167,45 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{"cod_das", SnoopMode::kCod, true, 1},
         Scenario{"cod_das", SnoopMode::kCod, true, 2}),
     scenario_name);
+
+// The same soup under the other protocol families and every snoop mode:
+// MOESI's Owned forwards, MESI's missing Forward state, and Dragon's
+// write-allocate stores (a read fill, then the update) must recompose as
+// exactly as MESIF's flows.
+struct FamilyScenario {
+  const char* name;
+  Protocol protocol;
+  SnoopMode mode;
+};
+
+class FamilyAttributionInvariant
+    : public ::testing::TestWithParam<FamilyScenario> {};
+
+TEST_P(FamilyAttributionInvariant, EveryAccessRecomposesExactly) {
+  SystemConfig config = SystemConfig::for_mode(GetParam().mode);
+  config.protocol = GetParam().protocol;
+  constexpr std::uint64_t kSeed = 1;
+  SCOPED_TRACE(hswtest::seed_note(kSeed));
+  expect_soup_recomposes(config, kSeed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllFamilies, FamilyAttributionInvariant,
+    ::testing::Values(
+        FamilyScenario{"mesi_source", Protocol::kMesi, SnoopMode::kSourceSnoop},
+        FamilyScenario{"mesi_home", Protocol::kMesi, SnoopMode::kHomeSnoop},
+        FamilyScenario{"mesi_cod", Protocol::kMesi, SnoopMode::kCod},
+        FamilyScenario{"moesi_source", Protocol::kMoesi,
+                       SnoopMode::kSourceSnoop},
+        FamilyScenario{"moesi_home", Protocol::kMoesi, SnoopMode::kHomeSnoop},
+        FamilyScenario{"moesi_cod", Protocol::kMoesi, SnoopMode::kCod},
+        FamilyScenario{"dragon_source", Protocol::kDragon,
+                       SnoopMode::kSourceSnoop},
+        FamilyScenario{"dragon_home", Protocol::kDragon, SnoopMode::kHomeSnoop},
+        FamilyScenario{"dragon_cod", Protocol::kDragon, SnoopMode::kCod}),
+    [](const ::testing::TestParamInfo<FamilyScenario>& param) {
+      return std::string(param.param.name);
+    });
 
 }  // namespace
 }  // namespace hsw
