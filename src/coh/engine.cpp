@@ -336,7 +336,7 @@ CoherenceEngine::PeerSnoop CoherenceEngine::snoop_peer(int peer_node,
       pay(TComp::kCoreSnoop, "core_valid_snoop", m_.timing.core_snoop_external);
     }
     if (dirty) pay(TComp::kCore, "dirty_transfer", m_.timing.core_data_l2);
-    result.dirty = dirty && entry.core_valid() != 0;
+    result.dirty = dirty;
     obs_transition(obs::Level::kL3, peer_node, line, found, op,
                    Mesif::kInvalid);
     l3.erase(line);
@@ -1169,8 +1169,12 @@ CoherenceEngine::Fill CoherenceEngine::home_write(int core, int req_node,
             t.response_return;
   fill.source = h == req_node ? ServiceSource::kLocalDram
                               : ServiceSource::kRemoteDram;
-  if (race.dirty_node >= 0) fill.source = ServiceSource::kRemoteFwd;
   fill.source_node = h;
+  if (race.dirty_node >= 0) {
+    // A peer handed over its dirty data: that peer supplied the line.
+    fill.source = ServiceSource::kRemoteFwd;
+    fill.source_node = race.dirty_node;
+  }
 
   if (directory_on()) {
     const DirState next =

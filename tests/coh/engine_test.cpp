@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 
 #include "coh/slice_hash.h"
 #include "machine/system.h"
@@ -279,6 +280,38 @@ TEST_F(EngineTest, SourceCountersClassifyLoads) {
   sys_.read(0, local);
   EXPECT_EQ(sys_.counters().value(Ctr::kLoadsL1Hit), 1u);
 }
+
+// An RFO of a line another node holds dirty takes the data from that
+// node's cache: the store reports a remote forward from the supplier, not
+// DRAM at the home.  Whether the dirty copy still sits in a core or only in
+// the supplier's L3 (the core drained it, clearing its core-valid bit)
+// must not matter.
+class RfoDirtyPeerTest : public ::testing::TestWithParam<SnoopMode> {};
+
+TEST_P(RfoDirtyPeerTest, DirtyCopyIsForwardedByTheSupplier) {
+  for (const bool drained : {false, true}) {
+    SCOPED_TRACE(drained ? "dirty in the L3 alone" : "dirty in a core");
+    System sys(SystemConfig::for_mode(GetParam()));
+    const PhysAddr a = sys.alloc_on_node(0, 64).base;
+    const int last = sys.core_count() - 1;
+    sys.write(last, a);
+    if (drained) sys.evict_core_caches(last);
+    const AccessResult r = sys.write(0, a);
+    EXPECT_EQ(r.source, ServiceSource::kRemoteFwd);
+    EXPECT_EQ(r.source_node, sys.topology().node_of_core(last));
+  }
+}
+
+std::string mode_name(const ::testing::TestParamInfo<SnoopMode>& info) {
+  constexpr const char* kName[] = {"source", "home", "cod"};
+  return kName[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, RfoDirtyPeerTest,
+                         ::testing::Values(SnoopMode::kSourceSnoop,
+                                           SnoopMode::kHomeSnoop,
+                                           SnoopMode::kCod),
+                         mode_name);
 
 }  // namespace
 }  // namespace hsw
