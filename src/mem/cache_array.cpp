@@ -3,62 +3,10 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
-#include <new>
 #include <stdexcept>
 #include <utility>
 
 namespace hsw {
-
-namespace {
-
-// Metadata blocks released by this thread's arrays.  Sweeps build a fresh
-// System per point; without reuse, glibc (2.36, default settings) trims
-// the heap after each System and the next one page-faults its caches back
-// in as placement touches them (fig4 --quick --jobs 1: 228k minor faults,
-// 0.7 s system time).  Capped so a thread keeps at most a few Systems'
-// worth; what does not fit is freed.
-constexpr std::size_t kMaxSpareBytes = std::size_t{64} << 20;
-
-struct SpareBlocks {
-  std::vector<std::pair<std::size_t, std::byte*>> blocks;  // (bytes, block)
-  std::size_t bytes = 0;
-
-  SpareBlocks() = default;
-  SpareBlocks(const SpareBlocks&) = delete;
-  SpareBlocks& operator=(const SpareBlocks&) = delete;
-  ~SpareBlocks() {
-    for (const auto& [size, block] : blocks) delete[] block;
-  }
-
-  std::byte* take(std::size_t size) {
-    for (auto it = blocks.begin(); it != blocks.end(); ++it) {
-      if (it->first != size) continue;
-      std::byte* const block = it->second;
-      *it = blocks.back();
-      blocks.pop_back();
-      bytes -= size;
-      return block;
-    }
-    return new std::byte[size];
-  }
-};
-
-thread_local SpareBlocks t_spare_blocks;
-
-}  // namespace
-
-void CacheArray::Recycle::operator()(std::byte* block) const noexcept {
-  SpareBlocks& spare = t_spare_blocks;
-  if (spare.bytes + bytes <= kMaxSpareBytes) {
-    try {
-      spare.blocks.emplace_back(bytes, block);
-      spare.bytes += bytes;
-      return;
-    } catch (const std::bad_alloc&) {
-    }
-  }
-  delete[] block;
-}
 
 CacheArray::CacheArray(std::uint64_t capacity_bytes, unsigned associativity,
                        Replacement replacement)
@@ -91,7 +39,7 @@ CacheArray::CacheArray(std::uint64_t capacity_bytes, unsigned associativity,
   const std::size_t rank_bytes =
       replacement_ == Replacement::kLru ? set_count_ * pstride_ : 0;
   const std::size_t bytes = way_bytes + rank_bytes;
-  block_ = {t_spare_blocks.take(bytes), Recycle{bytes}};
+  block_ = spare::take_block(bytes);
   ways_ = reinterpret_cast<Way*>(block_.get());
   if (replacement_ == Replacement::kLru) {
     ranks_ = reinterpret_cast<std::uint8_t*>(block_.get() + way_bytes);

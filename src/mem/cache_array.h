@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "mem/line.h"
+#include "mem/spare_blocks.h"
 
 // The tag-scan dispatch below is deliberately bigger than GCC's -O2
 // inlining budget (one unrolled body per supported associativity); without
@@ -306,14 +307,9 @@ class CacheArray {
   unsigned pwords_ = 1;     // pstride_ / 8
   unsigned set_shift_ = 0;  // log2(set_count_), for ptag_of
   // One uninitialized block holds the way records, then (LRU only) the
-  // ranks.  Blocks come from and return to a per-thread spare list (see
-  // cache_array.cpp).  (No member initializer in Recycle, for the reason
-  // given at DirectoryStore::Recycle.)
-  struct Recycle {
-    std::size_t bytes;
-    void operator()(std::byte* block) const noexcept;
-  };
-  std::unique_ptr<std::byte[], Recycle> block_;
+  // ranks.  Blocks come from and return to the per-thread spare list
+  // (mem/spare_blocks.h).
+  spare::Block block_;
   // Way records, `set * assoc + way` (unwritten until insert).
   Way* ways_ = nullptr;
   // LRU ranks, laid out like ptags_ (unwritten until a set's first insert;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mem/line.h"
+#include "mem/spare_blocks.h"
 
 namespace hsw {
 
@@ -98,14 +99,14 @@ class DramChannel {
 // at most 3/4.  Each slot packs the line and its state into one word.  A
 // LineAddr is a 64-bit address shifted right by 6, so its top bits are free
 // for the state, and an empty slot is 0 because remote-invalid is never
-// stored.  Released tables go to a per-thread spare list that the next
-// directory's growth reuses (see dram.cpp).
+// stored.  Released tables go to the per-thread spare list
+// (mem/spare_blocks.h) that the next directory's growth reuses.
 class DirectoryStore {
  public:
   [[nodiscard]] DirState get(LineAddr line) const {
     if (size_ == 0) return DirState::kRemoteInvalid;
     for (std::size_t i = home_slot(line);; i = (i + 1) & mask_) {
-      const std::uint64_t slot = slots_[i];
+      const std::uint64_t slot = slots()[i];
       if (slot == 0) return DirState::kRemoteInvalid;
       if ((slot & kLineMask) == line) {
         return static_cast<DirState>(slot >> kStateShift);
@@ -124,7 +125,7 @@ class DirectoryStore {
   [[nodiscard]] std::size_t tracked_lines() const { return size_; }
 
   // Table geometry, exposed so tests can build probe collisions.
-  [[nodiscard]] std::size_t capacity() const { return slots_ ? mask_ + 1 : 0; }
+  [[nodiscard]] std::size_t capacity() const { return table_ ? mask_ + 1 : 0; }
   // Slot where the probe for `line` starts; capacity() > 0.
   [[nodiscard]] std::size_t home_slot(LineAddr line) const {
     return static_cast<std::size_t>((line * 0x9e3779b97f4a7c15ull) >> hash_shift_);
@@ -134,19 +135,15 @@ class DirectoryStore {
   static constexpr unsigned kStateShift = 62;
   static constexpr std::uint64_t kLineMask = (1ull << kStateShift) - 1;
 
-  // Deleter that hands a table to this thread's spare list.  (No member
-  // initializer: GCC would then not see the nested type as default-
-  // constructible inside DirectoryStore; unique_ptr value-initializes it.)
-  struct Recycle {
-    unsigned log2_capacity;
-    void operator()(std::uint64_t* slots) const noexcept;
-  };
-
   bool erase(LineAddr line);
   void grow();
 
-  // line | state << kStateShift; 0 = empty
-  std::unique_ptr<std::uint64_t[], Recycle> slots_;
+  [[nodiscard]] std::uint64_t* slots() const {
+    return reinterpret_cast<std::uint64_t*>(table_.get());
+  }
+
+  // The slots: line | state << kStateShift; 0 = empty.
+  spare::Block table_;
   std::size_t mask_ = 0;              // capacity() - 1
   unsigned hash_shift_ = 64;          // 64 - log2(capacity())
   std::size_t size_ = 0;
