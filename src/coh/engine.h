@@ -27,6 +27,7 @@
 
 #include "coh/protocol.h"
 #include "coh/state.h"
+#include "mem/cache_array.h"  // HSW_ALWAYS_INLINE
 #include "obs/line_stats.h"
 #include "trace/tracer.h"
 
@@ -160,8 +161,11 @@ class CoherenceEngine {
   // then the response link back to the HA node `home`.  A forward ends
   // the race at once (its leg closed; later targets are never snooped) and
   // the caller closes the race; otherwise the caller adds its memory leg.
-  Race broadcast(std::span<const int> targets, LineAddr line, int home,
-                 const Broadcast& b);
+  // Forced inline: it runs on every miss beyond the L3, and the call out
+  // of its five call sites measured ~5% slower on a miss-bound loop.
+  HSW_ALWAYS_INLINE Race broadcast(std::span<const int> targets,
+                                   LineAddr line, int home,
+                                   const Broadcast& b);
 
   // Snoops a single core's L1/L2 (core-valid bit chase).  If the core holds
   // the line Modified, the copy is demoted to `demote_to` and the L3 entry
