@@ -312,10 +312,7 @@ CoherenceEngine::PeerSnoop CoherenceEngine::snoop_peer(int peer_node,
     result.handling_ns += ns;
     if (tracer_ != nullptr) tracer_->leaf(comp, name, ns);
   };
-  result.handling_ns = m_.timing.snoop_ca_lookup;
-  if (tracer_ != nullptr) {
-    tracer_->leaf(TComp::kCbo, "snoop_ca_lookup", m_.timing.snoop_ca_lookup);
-  }
+  pay(TComp::kCbo, "snoop_ca_lookup", m_.timing.snoop_ca_lookup);
   const CacheArray::Ref entry = l3.lookup(line, /*touch=*/false);
   if (!entry) return result;
   result.held = true;
@@ -850,14 +847,13 @@ CoherenceEngine::Fill CoherenceEngine::home_read(int core, int req_node,
       tracer_->open_parallel(from_requester ? "source_snoop_race"
                                             : "home_snoop_race");
     }
-    const Race race =
-        from_requester
-            ? broadcast(snooped, line, h,
-                        {obs::LineOp::kSnoopRead, req_node, lat0, t_req_at_ha,
-                         std::nullopt, std::nullopt})
-            : broadcast(snooped, line, h,
-                        {obs::LineOp::kSnoopRead, h, snoop_base, snoop_base,
-                         t.broadcast_fanout, std::nullopt});
+    const Race race = broadcast(
+        snooped, line, h,
+        from_requester ? Broadcast{obs::LineOp::kSnoopRead, req_node, lat0,
+                                   t_req_at_ha, std::nullopt, std::nullopt}
+                       : Broadcast{obs::LineOp::kSnoopRead, h, snoop_base,
+                                   snoop_base, t.broadcast_fanout,
+                                   std::nullopt});
     if (race.winner >= 0) return served_by_winner(race);
     if (tracer_ != nullptr) tracer_->open_leg("memory");
     if (from_requester) trace_ha_entry(req_node, h);
