@@ -1,25 +1,25 @@
-# Runs the engine span-tree driver and byte-compares its trace CSV with the
+# Runs the engine_spans program and byte-compares its trace CSV with the
 # checked-in golden: span names, order, nesting and values must not move.
 #
 # Usage (see golden_engine_spans in tests/CMakeLists.txt):
-#   cmake -DDRIVER=<engine_spans-binary> -DGOLDEN=<engine_spans.csv>
+#   cmake -DSPANS=<engine_spans-binary> -DGOLDEN=<engine_spans.csv>
 #         -DOUT=<actual.csv> -P engine_spans.cmake
 #
 # After an intentional engine change, regenerate the golden with
 # scripts/update_goldens.sh and review the diff row by row.
 
-foreach(var DRIVER GOLDEN OUT)
+foreach(var SPANS GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "engine_spans.cmake: missing -D${var}=...")
   endif()
 endforeach()
 
 execute_process(
-  COMMAND "${DRIVER}" "${OUT}"
-  RESULT_VARIABLE driver_rc
-  ERROR_VARIABLE driver_err)
-if(NOT driver_rc EQUAL 0)
-  message(FATAL_ERROR "engine_spans failed (rc=${driver_rc}):\n${driver_err}")
+  COMMAND "${SPANS}" "${OUT}"
+  RESULT_VARIABLE spans_rc
+  ERROR_VARIABLE spans_err)
+if(NOT spans_rc EQUAL 0)
+  message(FATAL_ERROR "engine_spans failed (rc=${spans_rc}):\n${spans_err}")
 endif()
 
 execute_process(
