@@ -41,8 +41,8 @@ struct BenchArgs {
   bool quick = false;     // trim sweep sizes for smoke runs
   std::uint64_t seed = 1;
   unsigned jobs = 0;      // sweep-point worker threads; 0 = hardware_concurrency
-  // Bandwidth-rate engine (--engine analytic|simulated); latency-only
-  // benches ignore it.
+  // Bandwidth-rate engine (--engine analytic|simulated, offered only by
+  // the benches that pass add_engine_flag to parse_args).
   hsw::BandwidthEngine engine = hsw::BandwidthEngine::kAnalytic;
   std::string tool;       // bench binary name (report manifest)
   std::string summary;    // bench one-liner (report manifest)
@@ -67,13 +67,35 @@ inline std::optional<std::string> writable_path_error(const std::string& path,
   return std::nullopt;
 }
 
-// Parses the standard bench flags.  Exits 0 on --help, 1 on bad flags (CI
-// must see a failure when an invocation has a typo).  Every validation —
-// value ranges, flag combinations, output-path probes — runs as a
-// CommandLine check inside parse_status(), so the switch below is the
-// binary's only exit site for argument errors (the facade rule in
-// core/hswbench.h: the library never exits, the CLI edge owns the policy).
-inline BenchArgs parse_args(int argc, char** argv, const char* summary) {
+// Registers --engine and its check.  Only the benches whose bandwidth stage
+// runs on the engine the user picks pass it to parse_args; every other
+// bench rejects the flag as unknown instead of ignoring it.
+inline void add_engine_flag(hsw::CommandLine& cli, BenchArgs& args) {
+  auto engine = std::make_shared<std::string>("analytic");
+  cli.add_string("engine", engine.get(),
+                 "bandwidth-rate engine: analytic (max-min model) or "
+                 "simulated (event-driven queueing)");
+  cli.add_check([&args, engine]() -> std::optional<std::string> {
+    const std::optional<hsw::BandwidthEngine> parsed =
+        hsw::parse_bandwidth_engine(*engine);
+    if (!parsed) {
+      return "--engine must be analytic or simulated, got '" + *engine + "'";
+    }
+    args.engine = *parsed;
+    return std::nullopt;
+  });
+}
+
+// Parses the standard bench flags, plus those `extra_flags` registers.
+// Exits 0 on --help, 1 on bad flags (CI must see a failure when an
+// invocation has a typo).  Every validation — value ranges, flag
+// combinations, output-path probes — runs as a CommandLine check inside
+// parse_status(), so the switch below is the binary's only exit site for
+// argument errors (the facade rule in core/hswbench.h: the library never
+// exits, the CLI edge owns the policy).
+inline BenchArgs parse_args(
+    int argc, char** argv, const char* summary,
+    void (*extra_flags)(hsw::CommandLine&, BenchArgs&) = nullptr) {
   BenchArgs args;
   hsw::CommandLine cli(summary);
   cli.add_string("csv", &args.csv, "write the series to this CSV file");
@@ -92,10 +114,6 @@ inline BenchArgs parse_args(int argc, char** argv, const char* summary) {
   std::int64_t jobs = 0;
   cli.add_int("jobs", &jobs,
               "worker threads for sweep points (1 = serial, 0 = all cores)");
-  std::string engine = "analytic";
-  cli.add_string("engine", &engine,
-                 "bandwidth-rate engine: analytic (max-min model) or "
-                 "simulated (event-driven queueing)");
 
   cli.add_check([&]() -> std::optional<std::string> {
     if (jobs < 0) return "--jobs must be >= 0";
@@ -103,15 +121,7 @@ inline BenchArgs parse_args(int argc, char** argv, const char* summary) {
     args.seed = static_cast<std::uint64_t>(seed);
     return std::nullopt;
   });
-  cli.add_check([&]() -> std::optional<std::string> {
-    const std::optional<hsw::BandwidthEngine> parsed =
-        hsw::parse_bandwidth_engine(engine);
-    if (!parsed) {
-      return "--engine must be analytic or simulated, got '" + engine + "'";
-    }
-    args.engine = *parsed;
-    return std::nullopt;
-  });
+  if (extra_flags != nullptr) extra_flags(cli, args);
   // The per-resource recorder watches the simulated engine's FIFO servers;
   // the analytic solver (and every latency bench) has no queues to observe,
   // so the report would be all zeros.  Refuse the combination instead of
@@ -119,9 +129,10 @@ inline BenchArgs parse_args(int argc, char** argv, const char* summary) {
   cli.add_check([&]() -> std::optional<std::string> {
     if (args.observe.set.resources &&
         args.engine != hsw::BandwidthEngine::kSimulated) {
-      return "--observe resources requires --engine simulated: only the "
-             "event-driven engine has FIFO servers to observe, so the "
-             "resources section would be all zeros";
+      return "--observe resources requires a bandwidth bench run with "
+             "--engine simulated: only the event-driven engine has FIFO "
+             "servers to observe, so the resources section would be all "
+             "zeros";
     }
     return std::nullopt;
   });

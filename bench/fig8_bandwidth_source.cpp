@@ -7,7 +7,8 @@
 
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
-      argc, argv, "Fig. 8: single-threaded read bandwidth, source snoop");
+      argc, argv, "Fig. 8: single-threaded read bandwidth, source snoop",
+      hswbench::add_engine_flag);
   const std::vector<std::uint64_t> sizes =
       hswbench::figure_sizes(args, hsw::mib(64));
   const hsw::SystemConfig config = hsw::SystemConfig::source_snoop();

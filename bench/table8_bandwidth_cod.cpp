@@ -6,7 +6,8 @@
 
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
-      argc, argv, "Table VIII: COD memory bandwidth scaling");
+      argc, argv, "Table VIII: COD memory bandwidth scaling",
+      hswbench::add_engine_flag);
   hswbench::BenchTrace trace(args);
   const hsw::SystemConfig config = hsw::SystemConfig::cluster_on_die();
   hsw::System probe(config);

@@ -29,12 +29,6 @@ std::vector<LineAddr> chase_order(const MemRegion& region, std::uint64_t seed) {
   return lines;
 }
 
-void place(System& system, const MemRegion& region, const Placement& placement,
-           std::uint64_t seed) {
-  const std::vector<LineAddr> order = chase_order(region, seed);
-  place_lines(system, order, placement);
-}
-
 void place_lines(System& system, std::span<const LineAddr> order,
                  const Placement& placement) {
   // The passes run one line class at a time (see DESIGN.md, "Channel-major
@@ -52,12 +46,13 @@ void place_lines(System& system, std::span<const LineAddr> order,
         if ((line & (classes - 1)) == cls) op(addr_of(line));
       }
     };
-    // 1. Establish the owner's copy in the requested state.
-    each([&](PhysAddr addr) { system.write(placement.owner_core, addr); });
+    // 1. Establish the owner's copy: a read of an uncached line installs
+    // it Exclusive (DESIGN.md, "Read-only placement"), a write Modified.
     if (placement.state == Mesif::kExclusive ||
         placement.state == Mesif::kShared) {
-      each([&](PhysAddr addr) { system.flush_line(addr); });
       each([&](PhysAddr addr) { system.read(placement.owner_core, addr); });
+    } else {
+      each([&](PhysAddr addr) { system.write(placement.owner_core, addr); });
     }
     // 2. Spread shared copies; the last reader's node receives Forward.
     if (placement.state == Mesif::kShared) {

@@ -11,6 +11,13 @@
 //                  of the reads determines which node holds the Forward copy
 //                  (the most recent reader).
 //
+// On hardware the write and clflush drive a line out of whatever state it
+// held.  The simulator places only lines cached nowhere, so exclusive is the
+// owner's read alone: it leaves the caches, directory, HitME and open DRAM
+// rows as write, clflush, read would, with less placement traffic in the
+// cumulative row-buffer statistics and counters (DESIGN.md, "Read-only
+// placement").
+//
 // The cache *level* is controlled the way the paper does it: a data set that
 // exceeds a level naturally lives in the next one, and explicit cache
 // flushes push lines down (core caches -> L3 -> memory) without disturbing
@@ -45,19 +52,13 @@ struct Placement {
   CacheLevel level = CacheLevel::kL1L2;
 };
 
-// Applies `placement` to every line of `region`.  Lines are visited in a
-// deterministic shuffled order so DRAM row-buffer state is realistic.
-void place(System& system, const MemRegion& region, const Placement& placement,
-           std::uint64_t seed = 1);
-
-// Applies `placement` to exactly the given lines.  The experiments use
-// this with their already-computed chase order so the permutation is
-// derived once per measurement instead of once per pass.  Lines are
-// visited one channel class (MachineState::line_classes()) at a time, in
-// the given order within each class; classes share no cache set and no
-// DRAM channel, so the result is the one the plain given order produces,
-// and the order each channel's row buffers see is unchanged.  The System
-// must have no tracer, metrics registry or line recorder attached.
+// Applies `placement` to the given lines, which must be cached nowhere (the
+// experiments pass a fresh region's chase order).  Lines are visited one
+// channel class (MachineState::line_classes()) at a time, in the given
+// order within each class; classes share no cache set and no DRAM channel,
+// so the result is the one the plain given order produces, and the order
+// each channel's row buffers see is unchanged.  The System must have no
+// tracer, metrics registry or line recorder attached.
 void place_lines(System& system, std::span<const LineAddr> order,
                  const Placement& placement);
 

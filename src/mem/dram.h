@@ -80,6 +80,10 @@ class DramChannel {
 
   [[nodiscard]] const DramGeometry& geometry() const { return geometry_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  // Row open in `bank`, -1 while the bank is precharged.
+  [[nodiscard]] std::int64_t open_row(std::size_t bank) const {
+    return open_row_[bank];
+  }
   void reset_stats() { stats_ = Stats{}; }
 
  private:

@@ -44,9 +44,10 @@ TEST(ChaseOrder, SeedChangesOrderDeterministically) {
 
 TEST_F(PlacementTest, ModifiedPlacementLeavesDirtyCoreCopies) {
   const MemRegion region = sys_.alloc_on_node(0, 64 * 16);
-  place(sys_, region, Placement{.owner_core = 1, .memory_node = 0,
-                                .state = Mesif::kModified, .sharers = {},
-                                .level = CacheLevel::kL1L2});
+  place_lines(sys_, chase_order(region, 1),
+              Placement{.owner_core = 1, .memory_node = 0,
+                        .state = Mesif::kModified, .sharers = {},
+                        .level = CacheLevel::kL1L2});
   const CoreCaches& cc = sys_.state().cores[1];
   for (LineAddr line = region.first_line();
        line < region.first_line() + region.line_count(); ++line) {
@@ -58,9 +59,10 @@ TEST_F(PlacementTest, ModifiedPlacementLeavesDirtyCoreCopies) {
 
 TEST_F(PlacementTest, ExclusivePlacementLeavesCleanExclusive) {
   const MemRegion region = sys_.alloc_on_node(0, 64 * 16);
-  place(sys_, region, Placement{.owner_core = 1, .memory_node = 0,
-                                .state = Mesif::kExclusive, .sharers = {},
-                                .level = CacheLevel::kL1L2});
+  place_lines(sys_, chase_order(region, 1),
+              Placement{.owner_core = 1, .memory_node = 0,
+                        .state = Mesif::kExclusive, .sharers = {},
+                        .level = CacheLevel::kL1L2});
   const CoreCaches& cc = sys_.state().cores[1];
   for (LineAddr line = region.first_line();
        line < region.first_line() + region.line_count(); ++line) {
@@ -78,7 +80,7 @@ TEST_F(PlacementTest, SharedPlacementPutsForwardInLastReadersNode) {
   placement.memory_node = 0;
   placement.state = Mesif::kShared;
   placement.sharers = {12};  // socket 1 reads last -> holds Forward
-  place(sys_, region, placement);
+  place_lines(sys_, chase_order(region, 1), placement);
   for (LineAddr line = region.first_line();
        line < region.first_line() + region.line_count(); ++line) {
     ASSERT_TRUE(l3_entry(0, line).has_value());
@@ -90,9 +92,10 @@ TEST_F(PlacementTest, SharedPlacementPutsForwardInLastReadersNode) {
 
 TEST_F(PlacementTest, L3LevelEvictsCoreCachesOnly) {
   const MemRegion region = sys_.alloc_on_node(0, 64 * 16);
-  place(sys_, region, Placement{.owner_core = 1, .memory_node = 0,
-                                .state = Mesif::kModified, .sharers = {},
-                                .level = CacheLevel::kL3});
+  place_lines(sys_, chase_order(region, 1),
+              Placement{.owner_core = 1, .memory_node = 0,
+                        .state = Mesif::kModified, .sharers = {},
+                        .level = CacheLevel::kL3});
   const CoreCaches& cc = sys_.state().cores[1];
   for (LineAddr line = region.first_line();
        line < region.first_line() + region.line_count(); ++line) {
@@ -107,9 +110,10 @@ TEST_F(PlacementTest, L3LevelEvictsCoreCachesOnly) {
 
 TEST_F(PlacementTest, MemoryLevelLeavesNothingCached) {
   const MemRegion region = sys_.alloc_on_node(0, 64 * 16);
-  place(sys_, region, Placement{.owner_core = 1, .memory_node = 0,
-                                .state = Mesif::kExclusive, .sharers = {},
-                                .level = CacheLevel::kMemory});
+  place_lines(sys_, chase_order(region, 1),
+              Placement{.owner_core = 1, .memory_node = 0,
+                        .state = Mesif::kExclusive, .sharers = {},
+                        .level = CacheLevel::kMemory});
   for (LineAddr line = region.first_line();
        line < region.first_line() + region.line_count(); ++line) {
     EXPECT_FALSE(l3_entry(0, line).has_value());
@@ -119,9 +123,10 @@ TEST_F(PlacementTest, MemoryLevelLeavesNothingCached) {
 
 TEST_F(PlacementTest, DropAllCachesEmptiesEveryArray) {
   const MemRegion region = sys_.alloc_on_node(1, 64 * 1024);
-  place(sys_, region, Placement{.owner_core = 1, .memory_node = 1,
-                                .state = Mesif::kShared, .sharers = {13},
-                                .level = CacheLevel::kL1L2});
+  place_lines(sys_, chase_order(region, 1),
+              Placement{.owner_core = 1, .memory_node = 1,
+                        .state = Mesif::kShared, .sharers = {13},
+                        .level = CacheLevel::kL1L2});
   const MachineState& m = sys_.state();
   EXPECT_EQ(m.cores[1].l2.valid_count(), region.line_count());
   EXPECT_EQ(m.cores[13].l2.valid_count(), region.line_count());
