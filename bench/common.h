@@ -42,7 +42,7 @@ struct BenchArgs {
   std::uint64_t seed = 1;
   unsigned jobs = 0;      // sweep-point worker threads; 0 = hardware_concurrency
   // Bandwidth-rate engine (--engine analytic|simulated, offered only by
-  // the benches that pass add_engine_flag to parse_args).
+  // the benches that pass engine_flag to parse_args).
   hsw::BandwidthEngine engine = hsw::BandwidthEngine::kAnalytic;
   std::string tool;       // bench binary name (report manifest)
   std::string summary;    // bench one-liner (report manifest)
@@ -67,35 +67,17 @@ inline std::optional<std::string> writable_path_error(const std::string& path,
   return std::nullopt;
 }
 
-// Registers --engine and its check.  Only the benches whose bandwidth stage
-// runs on the engine the user picks pass it to parse_args; every other
-// bench rejects the flag as unknown instead of ignoring it.
-inline void add_engine_flag(hsw::CommandLine& cli, BenchArgs& args) {
-  auto engine = std::make_shared<std::string>("analytic");
-  cli.add_string("engine", engine.get(),
-                 "bandwidth-rate engine: analytic (max-min model) or "
-                 "simulated (event-driven queueing)");
-  cli.add_check([&args, engine]() -> std::optional<std::string> {
-    const std::optional<hsw::BandwidthEngine> parsed =
-        hsw::parse_bandwidth_engine(*engine);
-    if (!parsed) {
-      return "--engine must be analytic or simulated, got '" + *engine + "'";
-    }
-    args.engine = *parsed;
-    return std::nullopt;
-  });
-}
-
-// Parses the standard bench flags, plus those `extra_flags` registers.
-// Exits 0 on --help, 1 on bad flags (CI must see a failure when an
+// Parses the standard bench flags, plus --engine when `engine_flag` is set
+// (only the benches whose bandwidth stage runs on the engine the user picks
+// set it; every other bench rejects the flag as unknown instead of ignoring
+// it).  Exits 0 on --help, 1 on bad flags (CI must see a failure when an
 // invocation has a typo).  Every validation — value ranges, flag
 // combinations, output-path probes — runs as a CommandLine check inside
 // parse_status(), so the switch below is the binary's only exit site for
 // argument errors (the facade rule in core/hswbench.h: the library never
 // exits, the CLI edge owns the policy).
-inline BenchArgs parse_args(
-    int argc, char** argv, const char* summary,
-    void (*extra_flags)(hsw::CommandLine&, BenchArgs&) = nullptr) {
+inline BenchArgs parse_args(int argc, char** argv, const char* summary,
+                            bool engine_flag = false) {
   BenchArgs args;
   hsw::CommandLine cli(summary);
   cli.add_string("csv", &args.csv, "write the series to this CSV file");
@@ -121,7 +103,21 @@ inline BenchArgs parse_args(
     args.seed = static_cast<std::uint64_t>(seed);
     return std::nullopt;
   });
-  if (extra_flags != nullptr) extra_flags(cli, args);
+  std::string engine = "analytic";
+  if (engine_flag) {
+    cli.add_string("engine", &engine,
+                   "bandwidth-rate engine: analytic (max-min model) or "
+                   "simulated (event-driven queueing)");
+    cli.add_check([&]() -> std::optional<std::string> {
+      const std::optional<hsw::BandwidthEngine> parsed =
+          hsw::parse_bandwidth_engine(engine);
+      if (!parsed) {
+        return "--engine must be analytic or simulated, got '" + engine + "'";
+      }
+      args.engine = *parsed;
+      return std::nullopt;
+    });
+  }
   // The per-resource recorder watches the simulated engine's FIFO servers;
   // the analytic solver (and every latency bench) has no queues to observe,
   // so the report would be all zeros.  Refuse the combination instead of

@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
       argc, argv, "Fig. 8: single-threaded read bandwidth, source snoop",
-      hswbench::add_engine_flag);
+      /*engine_flag=*/true);
   const std::vector<std::uint64_t> sizes =
       hswbench::figure_sizes(args, hsw::mib(64));
   const hsw::SystemConfig config = hsw::SystemConfig::source_snoop();

@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
       argc, argv, "Fig. 9: read bandwidth of shared lines, source snoop",
-      hswbench::add_engine_flag);
+      /*engine_flag=*/true);
   const std::vector<std::uint64_t> sizes =
       hswbench::figure_sizes(args, hsw::mib(64));
   const hsw::SystemConfig config = hsw::SystemConfig::source_snoop();

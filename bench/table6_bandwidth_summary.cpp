@@ -33,7 +33,7 @@ double stream_bw(hswbench::BenchTrace& trace, const hsw::SystemConfig& config,
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
       argc, argv, "Table VI: single-threaded read bandwidth summary",
-      hswbench::add_engine_flag);
+      /*engine_flag=*/true);
   const std::uint64_t seed = args.seed;
   hswbench::BenchTrace trace(args);
 

@@ -56,7 +56,7 @@ ScalingPoint scaling_point(hswbench::BenchTrace& trace,
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
       argc, argv, "Table VII: memory bandwidth scaling, source vs home snoop",
-      hswbench::add_engine_flag);
+      /*engine_flag=*/true);
 
   hswbench::BenchTrace trace(args);
   const int max_cores = args.quick ? 4 : 12;

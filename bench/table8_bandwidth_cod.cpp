@@ -7,7 +7,7 @@
 int main(int argc, char** argv) {
   const hswbench::BenchArgs args = hswbench::parse_args(
       argc, argv, "Table VIII: COD memory bandwidth scaling",
-      hswbench::add_engine_flag);
+      /*engine_flag=*/true);
   hswbench::BenchTrace trace(args);
   const hsw::SystemConfig config = hsw::SystemConfig::cluster_on_die();
   hsw::System probe(config);

@@ -5,11 +5,12 @@
 // Systems, one through place_lines and one through the paper's passes in
 // plain chase order (write, clflush, read for Exclusive and Shared), and
 // require all the machine state a measurement can read to match: cache
-// contents and replacement victims, HitME, directory, and a follow-up
-// measurement, whose counters read the open DRAM rows.  The cumulative
-// row-buffer statistics and whole-run counters are the placement's own
-// traffic; they must differ by exactly the DRAM accesses of the write and
-// clflush passes.
+// contents and replacement victims, HitME, directory, open DRAM rows, and a
+// follow-up measurement.  Where only Modified lines are placed, both make
+// the same accesses, so every channel's row-buffer statistics and the
+// whole-run counters must match too, which pins the order each channel
+// sees; an Exclusive or Shared placement must make exactly the DRAM
+// accesses of the write and clflush passes fewer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -83,10 +84,11 @@ bool same_set(const CacheArray& a, const CacheArray& b, LineAddr line) {
 }
 
 // The first difference between the two machines' cache, HitME, directory
-// and (with `open_rows`) open-row state, or success.
+// and (with `open_rows`) open-row state, or success.  With `same_traffic`,
+// also every channel's row-buffer statistics and the whole-run counters.
 ::testing::AssertionResult same_state(const System& sa, const System& sb,
                                       std::span<const LineAddr> lines,
-                                      bool open_rows = true) {
+                                      bool open_rows, bool same_traffic) {
   const MachineState& a = sa.state();
   const MachineState& b = sb.state();
   for (LineAddr line : lines) {
@@ -142,7 +144,20 @@ bool same_set(const CacheArray& a, const CacheArray& b, LineAddr line) {
           }
         }
       }
+      for (std::size_t c = 0; same_traffic && c < ha.channels.size(); ++c) {
+        const DramChannel::Stats& x = ha.channels[c].stats();
+        const DramChannel::Stats& y = hb.channels[c].stats();
+        if (x.page_hits != y.page_hits || x.page_empties != y.page_empties ||
+            x.page_conflicts != y.page_conflicts) {
+          return ::testing::AssertionFailure()
+                 << "home agent " << s << "/" << i << " channel " << c
+                 << " row-buffer statistics differ";
+        }
+      }
     }
+  }
+  if (same_traffic && sa.counters().snapshot() != sb.counters().snapshot()) {
+    return ::testing::AssertionFailure() << "counters differ";
   }
   return ::testing::AssertionSuccess();
 }
@@ -194,8 +209,9 @@ void place_both_ways(System& by_class, System& by_chase,
 // same level by another core of the owner's node (the shape of a
 // multi-stream measure_bandwidth), whose lines the second placement evicts.
 // A dirty victim's writeback moves from the paper's write pass into
-// place_lines' read pass, so after a Modified first buffer a bank may hold
-// another row open (DESIGN.md, "Read-only placement").
+// place_lines' read pass, so an Exclusive or Shared buffer placed after a
+// Modified one may leave a bank on another row (DESIGN.md, "Read-only
+// placement").
 void expect_order_equivalent(const SystemConfig& config,
                              std::uint64_t buffer_bytes,
                              std::optional<Mesif> first = std::nullopt) {
@@ -232,8 +248,15 @@ void expect_order_equivalent(const SystemConfig& config,
       const std::vector<LineAddr> order = chase_order(region, 5);
       place_both_ways(by_class, by_chase, order, p);
       lines.insert(lines.end(), order.begin(), order.end());
-      ASSERT_TRUE(same_state(by_class, by_chase, lines,
-                             /*open_rows=*/first != Mesif::kModified));
+      const auto reads_only = [](Mesif m) {
+        return m == Mesif::kExclusive || m == Mesif::kShared;
+      };
+      const bool same_traffic =
+          !reads_only(state) && !(first && reads_only(*first));
+      ASSERT_TRUE(same_state(
+          by_class, by_chase, lines,
+          /*open_rows=*/first != Mesif::kModified || !reads_only(state),
+          same_traffic));
 
       LatencyConfig follow_up;
       follow_up.reader_core = 0;
